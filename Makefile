@@ -18,12 +18,11 @@ bench:
 
 # Execution-engine benchmark + regression gate: run the exec benchmark
 # at a small polynomial order (its functional-simulation leg sweeps the
-# jobs x elements matrix) followed by the cost experiment (static cycle
-# prediction vs Sim.Perf, prefiltered vs unfiltered sweep), and fail if
-# the element-sharded simulator regresses -- jobs:1 overhead beyond 5%
-# of the sequential baseline anywhere, a parallel headline below 1.0x on
-# a multi-core host, a non-zero cycle prediction error, any cost drift,
-# or a pre-filter that prunes nothing / changes the Pareto frontier
+# jobs x elements matrix) followed by the cost experiment (the static
+# cycle estimate and a cost-drift differential run), and fail if the
+# element-sharded simulator regresses -- jobs:1 overhead beyond 5% of
+# the sequential baseline anywhere, a parallel headline below 1.0x on a
+# multi-core host -- or if the differential run reports any cost drift
 # (scripts/check_bench_exec.py documents the exact floors).
 exec: build
 	python3 scripts/check_bench_exec_test.py
@@ -130,8 +129,8 @@ memprof: build
 
 # Device-cycle timeline of every kernel (docs/OBSERVABILITY.md): trace
 # both the plain and double-buffered legs on the modeled cycle clock,
-# reconcile phase durations against Sim.Perf and the static cost model
-# (cfdc timeline exits non-zero on any timeline-drift error), and keep
+# reconcile phase durations against Sim.Perf's totals (cfdc timeline
+# exits non-zero on any timeline-drift error), and keep
 # the Chrome traces + derived-metric JSON as artifacts. Both outputs
 # must parse as JSON.
 timeline: build
@@ -146,7 +145,7 @@ timeline: build
 	  python3 -m json.tool "timeline-out/$$name.json" > /dev/null || exit 1; \
 	  python3 -m json.tool "timeline-out/$$name.trace.json" > /dev/null || exit 1; \
 	done
-	@echo "timeline: all kernels reconciled (phase sums == hw model == cost model)"
+	@echo "timeline: all kernels reconciled (phase sums == hw model)"
 
 # Build everything, run the full suite, then smoke-test the exploration
 # engine at jobs=1 and jobs=4 (the sweep itself asserts the two agree in

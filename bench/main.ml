@@ -851,88 +851,37 @@ let memprof_bench () =
 
 (* ---------------- Static cost model ---------------- *)
 
-(* Two legs. Prediction: the closed-form cycle model vs the simulated
-   controller FSM, plus the cost-drift verdict of a full differential
-   run (both must come out exact — the model replicates Sim.Perf's
-   arithmetic operation for operation). Pruning: the standard sweep with
-   and without the static pre-filter, frontier compared for equality and
-   the saved simulations counted. The record merges into BENCH_exec.json
-   under "cost", so run this after the exec experiment (which rewrites
-   that file from scratch). *)
+(* The static price of the default configuration (the performance
+   model's own closed form, pinned by the history sentinel) and the
+   cost-drift verdict of a full differential run, which must come out
+   clean. The record merges into BENCH_exec.json under "cost", so run
+   this after the exec experiment (which rewrites that file from
+   scratch). *)
 let cost_bench () =
   let p = !exec_p in
   header
     (Printf.sprintf
-       "Static cost model: prediction error and DSE pruning (p=%d\n\
-        Inverse Helmholtz, %d elements)"
+       "Static cost model: cycle estimate and drift (p=%d Inverse\n\
+        Helmholtz, %d elements)"
        p n_elements);
-  let ast = Cfdlang.Ast.inverse_helmholtz ~p () in
-  let r = Cfd_core.Compile.compile ast in
+  let r = Cfd_core.Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p ()) in
   let report = Cfd_core.Costing.analyze ~diff:true ~sim_n:4 ~n_elements r in
-  let est =
+  let predicted =
     match report.Cfd_core.Costing.estimate with
-    | Some e -> e
+    | Some e -> e.Analysis.Cost.ce_total_cycles
     | None -> failwith "cost: default configuration infeasible"
   in
-  let sys = Cfd_core.Compile.build_system ~n_elements r in
-  let hw = Sim.Perf.run_hw ~system:sys ~board in
-  let predicted = est.Analysis.Cost.ce_total_cycles
-  and simulated = hw.Sim.Perf.total_cycles in
-  let prediction_error =
-    abs_float (float_of_int (predicted - simulated)) /. float_of_int simulated
-  in
   let drift = Option.value ~default:[] report.Cfd_core.Costing.drift in
-  Printf.printf "  predicted %d cycles, simulated %d: error %.6f%%\n" predicted
-    simulated (100. *. prediction_error);
+  Printf.printf "  predicted %d cycles\n" predicted;
   Printf.printf "  drift diagnostics (differential run, 4 elements): %d\n"
     (List.length drift);
-  let jobs = effective_jobs () in
-  let perf_runs = Obs.Metrics.counter "sim.perf.runs" in
-  let pruned_counter = Obs.Metrics.counter "explore.pruned" in
-  let timed prefilter =
-    Poly.Memo.clear_all ();
-    let sims0 = Obs.Metrics.counter_value perf_runs in
-    let pruned0 = Obs.Metrics.counter_value pruned_counter in
-    let t0 = Unix.gettimeofday () in
-    let outcomes = Cfd_core.Explore.sweep ~jobs ~prefilter ~n_elements ast in
-    let dt = Unix.gettimeofday () -. t0 in
-    ( outcomes,
-      dt,
-      Obs.Metrics.counter_value perf_runs - sims0,
-      Obs.Metrics.counter_value pruned_counter - pruned0 )
-  in
-  let full, t_full, sims_full, _ = timed false in
-  let filtered, t_filtered, sims_filtered, pruned = timed true in
-  let frontier outcomes =
-    List.map
-      (fun (o : Cfd_core.Explore.outcome) ->
-        o.Cfd_core.Explore.configuration.Cfd_core.Explore.label)
-      (Cfd_core.Explore.pareto outcomes)
-  in
-  let frontier_identical = frontier full = frontier filtered in
-  Printf.printf
-    "  sweep (jobs=%d): unfiltered %.2f s / %d simulations, prefiltered %.2f s \
-     / %d simulations\n\
-    \  pruned %d configurations, speedup %.2fx, frontier identical: %b\n"
-    jobs t_full sims_full t_filtered sims_filtered pruned
-    (t_full /. t_filtered) frontier_identical;
   let cost_json =
     Obs.Json.Obj
       [
         ("p", Obs.Json.Int p);
         ("elements", Obs.Json.Int n_elements);
         ("predicted_cycles", Obs.Json.Int predicted);
-        ("simulated_cycles", Obs.Json.Int simulated);
-        ("prediction_error", Obs.Json.Float prediction_error);
         ("drift_diagnostics", Obs.Json.Int (List.length drift));
-        ("sweep_jobs", Obs.Json.Int jobs);
-        ("sweep_unfiltered_seconds", Obs.Json.Float t_full);
-        ("sweep_prefiltered_seconds", Obs.Json.Float t_filtered);
-        ("sweep_speedup", Obs.Json.Float (t_full /. t_filtered));
-        ("sweep_simulations_unfiltered", Obs.Json.Int sims_full);
-        ("sweep_simulations_prefiltered", Obs.Json.Int sims_filtered);
-        ("sweep_pruned", Obs.Json.Int pruned);
-        ("frontier_identical", Obs.Json.Bool frontier_identical);
       ]
   in
   let hist = merge_run_section "cost" cost_json in

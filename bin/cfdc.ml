@@ -420,7 +420,7 @@ let emit_cmd =
 
 (* ---- explore command ---- *)
 
-let do_explore file elements jobs prefilter stats cache_dir oo =
+let do_explore file elements jobs stats cache_dir oo =
   obs_setup oo;
   let src = read_file file in
   let ast =
@@ -433,23 +433,16 @@ let do_explore file elements jobs prefilter stats cache_dir oo =
         fatal ("parse error: " ^ msg)
   in
   let jobs = if jobs <= 0 then Cfd_core.Pool.default_jobs () else jobs in
-  let pruned_counter = Obs.Metrics.counter "explore.pruned" in
-  let pruned0 = Obs.Metrics.counter_value pruned_counter in
   let outcomes =
-    Cfd_core.Explore.sweep ~jobs ~prefilter
-      ?cache:(cache_of cache_dir)
+    Cfd_core.Explore.sweep ~jobs ?cache:(cache_of cache_dir)
       ~n_elements:elements ast
   in
-  Format.printf "design space (%d elements, %d jobs%s):@." elements jobs
-    (if prefilter then ", static prefilter" else "");
+  Format.printf "design space (%d elements, %d jobs):@." elements jobs;
   List.iter (fun o -> Format.printf "  %a@." Cfd_core.Explore.pp_outcome o) outcomes;
   Format.printf "Pareto front:@.";
   List.iter
     (fun o -> Format.printf "  %a@." Cfd_core.Explore.pp_outcome o)
     (Cfd_core.Explore.pareto outcomes);
-  if prefilter then
-    Format.printf "pruned without simulation: %d@."
-      (Obs.Metrics.counter_value pruned_counter - pruned0);
   if stats then Format.printf "%a" Obs.Export.pp_metrics ()
 
 let jobs_arg =
@@ -461,18 +454,12 @@ let stats_arg =
   Arg.(value & flag & info [ "stats" ]
          ~doc:"Print polyhedral cache hit/miss statistics after the sweep")
 
-let prefilter_arg =
-  Arg.(value & flag & info [ "prefilter" ]
-         ~doc:"Skip simulating configurations whose static cost estimate is \
-               dominated by another configuration (the Pareto front is \
-               unchanged; the pruned count is reported)")
-
 let explore_cmd =
   let doc = "sweep the memory/compute configurations and print the Pareto front" in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
-      const do_explore $ file_arg $ elements_arg $ jobs_arg $ prefilter_arg
-      $ stats_arg $ cache_dir_arg $ obs_opts_term)
+      const do_explore $ file_arg $ elements_arg $ jobs_arg $ stats_arg
+      $ cache_dir_arg $ obs_opts_term)
 
 (* ---- functional-simulation strategy flag (profile / memprof) ---- *)
 
@@ -707,8 +694,8 @@ let timeline_cmd =
              every modeled phase (DMA bursts, controller rounds, kernel \
              executions, the double-buffered pipeline) as a Chrome trace \
              plus derived utilization metrics, and reconcile the phase \
-             durations against the performance model and the static cost \
-             analyzer (any mismatch is a timeline-drift error)" in
+             durations against the performance model's totals (any \
+             mismatch is a timeline-drift error)" in
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(
       const do_timeline $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
@@ -1148,13 +1135,18 @@ let () =
   | Some ("1" | "true" | "on") -> Obs.Flight.set_enabled true
   | _ -> ());
   Obs.Flight.set_provenance (Some (Cfd_core.Version.manifest ()));
-  try exit (Cmd.eval ~catch:false main)
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    (if Obs.Flight.enabled () then
-       match
-         Obs.Flight.write_crash ~reason:("uncaught: " ^ Printexc.to_string e) ()
-       with
-       | Some path -> Printf.eprintf "cfdc: crash report: %s\n%!" path
-       | None -> ());
-    Printexc.raise_with_backtrace e bt
+  try exit (Cmd.eval ~catch:false main) with
+  | Analysis.Cost.Invalid_shape msg ->
+      (* a user-supplied shape the cycle model rejects (--elements 0) *)
+      prerr_endline ("cfdc: invalid shape: " ^ msg);
+      fatal ("invalid shape: " ^ msg)
+  | e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (if Obs.Flight.enabled () then
+         match
+           Obs.Flight.write_crash
+             ~reason:("uncaught: " ^ Printexc.to_string e) ()
+         with
+         | Some path -> Printf.eprintf "cfdc: crash report: %s\n%!" path
+         | None -> ());
+      Printexc.raise_with_backtrace e bt

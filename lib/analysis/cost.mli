@@ -5,9 +5,8 @@
     predicts what it will {e cost}: statement trip counts and loop
     iteration totals by point-counting on the loop-nest polyhedra, DMA
     words per element and per PLM set, per-buffer access counts and peak
-    port pressure, a cycle estimate matching [Sim.Perf]'s performance
-    model, and a BRAM18 count re-derived from the platform allocation
-    rule. Every quantity carries an exactness flag: nests small enough
+    port pressure, the cycle model [Sim.Perf] itself runs on, and a
+    BRAM18 count re-derived from the platform allocation rule. Every quantity carries an exactness flag: nests small enough
     are counted by exact enumeration, larger ones fall back to
     Fourier–Motzkin bound products and are marked inexact
     ([cost-inexact]); unbounded domains are [cost-unbounded] errors.
@@ -101,22 +100,41 @@ val analyze :
 
 (** {2 Cycle model}
 
-    A closed-form replica of [Sim.Perf.run_hw]'s non-overlapped model,
-    parameterized on plain records so this library stays independent of
-    [Sim]/[Sysgen]: one controller round costs the kernel latency plus
-    the handshake cycles of the start/done FSM, a block of [m] elements
-    runs [batch] rounds and two DMA bursts at the AXI efficiency, and
-    blocks repeat ceil(n/m) times. The float arithmetic matches
-    [Sim.Perf] operation for operation, so on uniform latencies the
-    prediction is bit-identical to the simulated result (asserted by the
-    drift detector and the test suite). *)
+    The one definition of the host-loop law behind Figures 9 and 10: a
+    block of [m] elements costs one DMA burst in, [batch = m / k]
+    controller rounds of [latency + handshake] cycles, and one burst
+    out, at the AXI efficiency; blocks repeat ceil(n/m) times.
+    [Sim.Perf.run_hw] / [run_hw_overlapped] build their results and lay
+    out their timeline phases from this estimate, so the static price
+    and the simulated price are one number. The inputs are plain
+    records, so this library stays independent of [Sim]/[Sysgen]; the
+    controller FSM ([Sysgen.Axi_ctrl]) remains as the test oracle for
+    the round term. *)
 
-type shape = {
+type shape = private {
   sh_n_elements : int;
   sh_k : int;  (** accelerator instances *)
   sh_m : int;  (** PLM sets *)
   sh_batch : int;  (** m / k rounds per block *)
+  sh_latency : int;  (** kernel latency in cycles, the same on all [k] *)
+  sh_bytes_in : int;  (** input DMA bytes per element *)
+  sh_bytes_out : int;  (** output DMA bytes per element *)
 }
+
+exception Invalid_shape of string
+
+val shape :
+  n_elements:int ->
+  k:int ->
+  m:int ->
+  batch:int ->
+  latency:int ->
+  bytes_in:int ->
+  bytes_out:int ->
+  shape
+(** The validated model input: [n_elements >= 1], [k >= 1], [m >= k],
+    [batch >= 1].
+    @raise Invalid_shape naming the violated bound. *)
 
 type board_model = {
   bm_fmax_mhz : int;
@@ -126,25 +144,23 @@ type board_model = {
 }
 
 type cycle_estimate = {
-  ce_round_cycles : int;
-  ce_blocks : int;
-  ce_exec_cycles : int;
-  ce_transfer_cycles : int;
-  ce_total_cycles : int;
+  ce_round_cycles : int;  (** one controller round: latency + handshake *)
+  ce_block_in : int;  (** DMA cycles to move one block's inputs *)
+  ce_block_out : int;  (** DMA cycles to move one block's outputs *)
+  ce_blocks : int;  (** ceil(n / m) *)
+  ce_exec_cycles : int;  (** [blocks * batch * round]: controller busy *)
+  ce_transfer_cycles : int;  (** [blocks * (in + out)]: DMA engine busy *)
+  ce_total_cycles : int;  (** critical path *)
   ce_seconds : float;
 }
 
-val cycles : t -> latency:int -> shape:shape -> board:board_model -> cycle_estimate
-
-val cycles_overlapped :
-  t -> latency:int -> shape:shape -> board:board_model -> cycle_estimate
-(** The double-buffered closed form matching
-    [Sim.Perf.run_hw_overlapped]: fill + [ce_blocks] steady-state slots
-    of [max(io, compute)] + drain. [ce_exec_cycles] and
-    [ce_transfer_cycles] are unchanged — they count per-engine busy
-    cycles, which pipelining does not reduce; only [ce_total_cycles]
-    (and [ce_seconds]) shrink. Callers must hold [m >= 2k]
-    (see [Sim.Perf.overlap_requirement]). *)
+val cycles : overlap:bool -> board:board_model -> shape -> cycle_estimate
+(** Without [overlap] the blocks run back to back: total = exec +
+    transfer. With [overlap] (the double-buffered pipeline) the total is
+    fill + [ce_blocks] steady-state slots of [max(io, compute)] + drain;
+    [ce_exec_cycles] and [ce_transfer_cycles] are unchanged, since
+    pipelining does not shorten either engine's busy time. Overlap
+    callers must hold [m >= 2k] (see [Sim.Perf.overlap_requirement]). *)
 
 val dma_words_per_set : t -> n:int -> m:int -> (int * int * int) list
 (** [(set, words_in, words_out)] for each PLM set under the
@@ -166,14 +182,13 @@ type observed = {
       (** (site, desc, instances, reads, writes) from the recorder *)
   obs_buffers : (string * int * int * int) list option;
       (** (buffer, reads, writes, max pressure) from the recorder *)
-  obs_total_cycles : int option;  (** [Sim.Perf] total for the shape *)
   obs_total_brams : int option;  (** the architecture's claimed total *)
 }
 
 val no_observation : n:int -> m:int -> observed
 (** All-[None] skeleton to fill in. *)
 
-val drift : t -> ?cycle_model:cycle_estimate -> observed -> Diagnostic.t list
+val drift : t -> observed -> Diagnostic.t list
 (** Compare static predictions against dynamic observation; every
     mismatch is an error diagnostic with a [Count] witness:
 
@@ -185,8 +200,6 @@ val drift : t -> ?cycle_model:cycle_estimate -> observed -> Diagnostic.t list
       disagrees with the recorder's histogram maximum;
     - [cost-drift-dma]: DMA byte totals or per-set words disagree with
       the [sim.dma.*] counters / recorder;
-    - [cost-drift-cycles]: the closed-form cycle estimate disagrees with
-      the simulated controller FSM;
     - [cost-drift-brams]: the platform-rule BRAM18 total disagrees with
       the architecture's claim.
 

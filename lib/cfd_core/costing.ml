@@ -14,31 +14,17 @@ type report = {
   sim_elements : int option;
 }
 
-let board_model (board : Fpga_platform.Board.t) =
-  {
-    Cost.bm_fmax_mhz = board.Fpga_platform.Board.fmax_mhz;
-    bm_axi_bytes_per_cycle = board.Fpga_platform.Board.axi_bytes_per_cycle;
-    bm_axi_efficiency = Sim.Constants.axi_efficiency;
-    bm_handshake_cycles = Sim.Constants.controller_handshake_cycles;
-  }
-
-let shape_of (sys : Sysgen.System.t) =
-  let host = sys.Sysgen.System.host in
-  {
-    Cost.sh_n_elements = host.Sysgen.System.n_elements;
-    sh_k = sys.Sysgen.System.solution.Sysgen.Replicate.k;
-    sh_m = sys.Sysgen.System.solution.Sysgen.Replicate.m;
-    sh_batch = host.Sysgen.System.rounds_per_block;
-  }
-
 let static ?budget (r : Compile.result) =
   Cost.analyze ?budget
     ~unroll:(Option.value ~default:1 r.Compile.opts.Compile.unroll)
     ~program:r.Compile.program ~memory:r.Compile.memory ~proc:r.Compile.proc ()
 
-let estimate ~board ~system (r : Compile.result) cost =
-  Cost.cycles cost ~latency:r.Compile.hls.Hls.Model.latency_cycles
-    ~shape:(shape_of system) ~board:(board_model board)
+(* The system already carries the kernel latency and the DMA volumes
+   the compile result and static record would supply, so the price is
+   the performance model's own. *)
+let estimate ~board ~system (_ : Compile.result) (_ : Cost.t) =
+  Cost.cycles ~overlap:false ~board:(Sim.Perf.board_model board)
+    (Sim.Perf.shape_of system)
 
 (* Same deterministic per-element inputs as cfdc's simulation legs, so a
    drift run reproduces exactly what the profiling commands measure. *)
@@ -57,7 +43,7 @@ let synthetic_inputs (sys : Sysgen.System.t) =
               float_of_int ((((e + 1) * 31) + i) mod 97) /. 97.) ))
       shapes
 
-let observe ?(sim_n = 4) ~system ~board (r : Compile.result) =
+let observe ?(sim_n = 4) ~system (r : Compile.result) =
   let proc = r.Compile.proc in
   let v name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   let iterations () = v "exec.iterations.checked" + v "exec.iterations.unchecked" in
@@ -76,7 +62,6 @@ let observe ?(sim_n = 4) ~system ~board (r : Compile.result) =
              ~proc ~inputs:(synthetic_inputs system) ~n:sim_n ());
         Memprof.Record.snapshot ())
   in
-  let hw = Sim.Perf.run_hw ~system ~board in
   {
     Cost.obs_elements = sim_n;
     obs_m = system.Sysgen.System.solution.Sysgen.Replicate.m;
@@ -114,7 +99,6 @@ let observe ?(sim_n = 4) ~system ~board (r : Compile.result) =
                b.Memprof.Record.b_writes,
                b.Memprof.Record.b_max_pressure ))
            snap.Memprof.Record.sn_buffers);
-    obs_total_cycles = Some hw.Sim.Perf.total_cycles;
     obs_total_brams = Some r.Compile.memory.Mnemosyne.Memgen.total_brams;
   }
 
@@ -206,14 +190,14 @@ let analyze ?budget ?(config = Sysgen.Replicate.default_config) ?(diff = false)
       let est = estimate ~board ~system:sys r cost in
       let drift, sim_elements =
         if diff then
-          let obs = observe ?sim_n ~system:sys ~board r in
-          ( Some (Cost.drift cost ~cycle_model:est obs),
+          let obs = observe ?sim_n ~system:sys r in
+          ( Some (Cost.drift cost obs),
             Some obs.Cost.obs_elements )
         else (None, None)
       in
       {
         base with
-        shape = Some (shape_of sys);
+        shape = Some (Sim.Perf.shape_of sys);
         estimate = Some est;
         drift;
         sim_elements;

@@ -1,20 +1,17 @@
 (** Orchestration of the static cost analyzer ({!Analysis.Cost}) over a
-    compiled pipeline: builds the shape/board parameters from the
-    system generator and the simulator's constants, runs the dynamic
-    legs for the drift check, and renders the report — the engine
-    behind [cfdc cost] and the static pre-filter of {!Explore.sweep}.
+    compiled pipeline: prices the built system, runs the dynamic legs
+    for the drift check, and renders the report — the engine behind
+    [cfdc cost].
 
     [Analysis.Cost] itself is pure and knows nothing about [Sim] or
     [Sysgen]; this module is the one place that connects prediction to
     measurement:
 
-    - the {e cycle model} is instantiated with [Sim.Constants]
-      (AXI efficiency, controller handshake) and the board record, and
-      its float arithmetic matches [Sim.Perf] operation for operation;
+    - the {e cycle estimate} is [Analysis.Cost.cycles] over
+      [Sim.Perf.shape_of] — the very model [Sim.Perf.run_hw] runs on;
     - the {e observation} runs one recorded round-scheduled functional
-      simulation and reads back the [exec.*]/[sim.*] counter deltas,
-      the [Memprof.Record] snapshot, and the cycle-accurate
-      [Sim.Perf] result;
+      simulation and reads back the [exec.*]/[sim.*] counter deltas
+      and the [Memprof.Record] snapshot;
     - {!Analysis.Cost.drift} then reports every mismatch as a
       [cost-drift-*] diagnostic. *)
 
@@ -33,9 +30,6 @@ type report = {
   sim_elements : int option;  (** elements the drift simulation ran *)
 }
 
-val board_model : Fpga_platform.Board.t -> Analysis.Cost.board_model
-val shape_of : Sysgen.System.t -> Analysis.Cost.shape
-
 val static : ?budget:int -> Compile.result -> Analysis.Cost.t
 (** {!Analysis.Cost.analyze} at the result's compiled unroll factor. *)
 
@@ -45,19 +39,18 @@ val estimate :
   Compile.result ->
   Analysis.Cost.t ->
   Analysis.Cost.cycle_estimate
-(** The static cycle estimate for one built system. Bit-identical to
-    [Sim.Perf.run_hw ~system ~board] on uniform latencies (asserted by
-    the drift detector and the differential tests). *)
+(** The cycle estimate for one built system:
+    [Analysis.Cost.cycles ~overlap:false] over [Sim.Perf.shape_of system],
+    the same closed form [Sim.Perf.run_hw] reports. The system carries
+    the kernel latency and DMA volumes, so the compile result and static
+    record are not consulted.
+    @raise Analysis.Cost.Invalid_shape on an out-of-range system. *)
 
 val observe :
-  ?sim_n:int ->
-  system:Sysgen.System.t ->
-  board:Fpga_platform.Board.t ->
-  Compile.result ->
-  Analysis.Cost.observed
-(** Run the dynamic legs: one recorded round-scheduled functional
+  ?sim_n:int -> system:Sysgen.System.t -> Compile.result -> Analysis.Cost.observed
+(** Run the dynamic leg: one recorded round-scheduled functional
     simulation of [sim_n] elements (default 4) with deterministic
-    synthetic inputs, plus the cycle-accurate performance model.
+    synthetic inputs.
     @raise Sim.Functional.Error when the simulation fails. *)
 
 val analyze :

@@ -32,8 +32,6 @@ let standard_configurations =
     };
   ]
 
-let pruned_counter = Obs.Metrics.counter "explore.pruned"
-
 (* The content address of one configuration's sweep outcome: the compile
    key of its options over this source, extended with everything else
    the outcome depends on — the replication solver's inputs and the
@@ -77,22 +75,12 @@ let infeasible ?(plm_brams = 0) configuration diagnostic =
     diagnostic = Some diagnostic;
   }
 
-(* Phase A of a sweep, one configuration in isolation: compile, verify
-   exactly once, build and validate the system, and predict performance
-   statically. Any exception — an infeasible board, but also a crash
-   anywhere in the pipeline — becomes an infeasible outcome carrying the
-   diagnostic, so a single bad configuration can never abort the rest of
-   the sweep. *)
-type ready = {
-  r_configuration : configuration;
-  r_plm_brams : int;
-  r_system : Sysgen.System.t;
-  r_estimate : Analysis.Cost.cycle_estimate;
-}
-
-type prepared = Ready of ready | Settled of outcome
-
-let prepare ?cache ~config ~n_elements ast configuration =
+(* One configuration in isolation: compile, verify exactly once, build
+   and validate the system, and price it with the performance model.
+   Any exception — an infeasible board, but also a crash anywhere in the
+   pipeline — becomes an infeasible outcome carrying the diagnostic, so
+   a single bad configuration can never abort the rest of the sweep. *)
+let evaluate ?cache ~config ~n_elements ast configuration =
   (* The verifier runs exactly once per configuration, here: the compile
      itself goes with the embedded check off (a caller-supplied
      [static_check = true] would otherwise verify the same pipeline a
@@ -100,45 +88,36 @@ let prepare ?cache ~config ~n_elements ast configuration =
      proof is pruned as infeasible before any system is built. *)
   let options = { configuration.options with Compile.static_check = false } in
   match Compile.compile ?cache ~options ast with
-  | exception e -> Settled (infeasible configuration (Printexc.to_string e))
+  | exception e -> infeasible configuration (Printexc.to_string e)
   | r -> (
       let plm_brams = r.Compile.memory.Mnemosyne.Memgen.total_brams in
       match Analysis.Diagnostic.errors (Compile.check ?cache r) with
       | _ :: _ as errors ->
-          Settled
-            (infeasible ~plm_brams configuration
-               ("static check failed: " ^ Analysis.Diagnostic.summary errors))
+          infeasible ~plm_brams configuration
+            ("static check failed: " ^ Analysis.Diagnostic.summary errors)
       | [] -> (
           match
             let sys = Compile.build_system ~config ~n_elements r in
             Sysgen.System.validate sys;
-            sys
+            let board = config.Sysgen.Replicate.board in
+            (sys, Sim.Perf.run_hw ~system:sys ~board)
           with
-          | sys ->
-              Ready
-                {
-                  r_configuration = configuration;
-                  r_plm_brams = plm_brams;
-                  r_system = sys;
-                  r_estimate =
-                    Costing.estimate ~board:config.Sysgen.Replicate.board
-                      ~system:sys r (Costing.static r);
-                }
+          | sys, hw ->
+              {
+                configuration;
+                feasible = true;
+                max_replicas = sys.Sysgen.System.solution.Sysgen.Replicate.m;
+                plm_brams;
+                resources = sys.Sysgen.System.total_resources;
+                seconds = hw.Sim.Perf.total_seconds;
+                diagnostic = None;
+              }
           | exception Sysgen.Replicate.Infeasible msg ->
-              Settled (infeasible ~plm_brams configuration ("infeasible: " ^ msg))
+              infeasible ~plm_brams configuration ("infeasible: " ^ msg)
+          | exception Analysis.Cost.Invalid_shape msg ->
+              infeasible ~plm_brams configuration ("invalid shape: " ^ msg)
           | exception e ->
-              Settled (infeasible ~plm_brams configuration (Printexc.to_string e))))
-
-let outcome_of_ready ~seconds ready =
-  {
-    configuration = ready.r_configuration;
-    feasible = true;
-    max_replicas = ready.r_system.Sysgen.System.solution.Sysgen.Replicate.m;
-    plm_brams = ready.r_plm_brams;
-    resources = ready.r_system.Sysgen.System.total_resources;
-    seconds;
-    diagnostic = None;
-  }
+              infeasible ~plm_brams configuration (Printexc.to_string e)))
 
 let dominates a b =
   (* a dominates b: no worse on all three axes, strictly better on one *)
@@ -152,14 +131,12 @@ let dominates a b =
      || a.seconds < b.seconds)
 
 let sweep ?jobs ?(config = Sysgen.Replicate.default_config)
-    ?(configurations = standard_configurations) ?(prefilter = false) ?cache
-    ~n_elements ast =
+    ?(configurations = standard_configurations) ?cache ~n_elements ast =
   (* A warm start never changes what a sweep returns, only what it
-     recomputes: cached outcomes are final per-configuration results
-     (settled failures or simulated successes — never prefilter-pruned
-     static prices, whose value depends on the competing configurations),
+     recomputes: cached outcomes are final per-configuration results,
      stored as each one settles so an interrupted sweep resumes where it
-     died. *)
+     died. Lookups run in the calling domain; only misses reach the
+     pool. *)
   let find_cached configuration =
     match cache with
     | None -> None
@@ -183,87 +160,29 @@ let sweep ?jobs ?(config = Sysgen.Replicate.default_config)
   let misses =
     List.filter_map (function c, None -> Some c | _ -> None) lookups
   in
-  let miss_preps =
-    Pool.map ?jobs (prepare ?cache ~config ~n_elements ast) misses
-    |> List.map2
-         (fun configuration -> function
-           | Ok prepared -> prepared
-           | Error { Pool.message; _ } ->
-               Settled (infeasible configuration message))
-         misses
-  in
-  (* Cached outcomes and fresh preparations, re-interleaved in input
-     order. *)
-  let rec stitch lookups preps =
-    match (lookups, preps) with
-    | [], [] -> []
-    | (_, Some o) :: lookups, preps -> `Cached o :: stitch lookups preps
-    | (_, None) :: lookups, p :: preps -> `Fresh p :: stitch lookups preps
-    | _ -> assert false
-  in
-  let items = stitch lookups miss_preps in
-  (* The static outcome prices a Ready configuration by the closed-form
-     cycle model — for uniform latencies that is bit-identical to what
-     Sim.Perf would report, which is what makes pruning on it sound: a
-     configuration statically dominated on (LUT, BRAM, seconds) cannot
-     enter the Pareto frontier, so the filtered sweep returns the same
-     frontier while simulating strictly fewer systems. Cached outcomes
-     join the domination pool on the same footing. *)
-  let statics =
-    List.map
-      (function
-        | `Cached o | `Fresh (Settled o) -> o
-        | `Fresh (Ready r) ->
-            outcome_of_ready ~seconds:r.r_estimate.Analysis.Cost.ce_seconds r)
-      items
-  in
-  let plan =
-    List.map2
-      (fun item static ->
-        match item with
-        | `Cached o -> `Done o
-        | `Fresh (Settled o) ->
-            store_outcome o;
-            `Done o
-        | `Fresh (Ready r) ->
-            if
-              prefilter
-              && List.exists
-                   (fun other -> other.feasible && dominates other static)
-                   statics
-            then begin
-              Obs.Metrics.incr pruned_counter;
-              `Done static
-            end
-            else `Sim r)
-      items statics
-  in
-  let to_sim = List.filter_map (function `Sim r -> Some r | `Done _ -> None) plan in
-  let simulated =
+  let fresh =
     Pool.map ?jobs
-      (fun r ->
-        let hw =
-          Sim.Perf.run_hw ~system:r.r_system
-            ~board:config.Sysgen.Replicate.board
-        in
-        let o = outcome_of_ready ~seconds:hw.Sim.Perf.total_seconds r in
+      (fun c ->
+        let o = evaluate ?cache ~config ~n_elements ast c in
         store_outcome o;
         o)
-      to_sim
+      misses
     |> List.map2
-         (fun r -> function
+         (fun configuration -> function
            | Ok o -> o
-           | Error { Pool.message; _ } -> infeasible r.r_configuration message)
-         to_sim
+           | Error { Pool.message; _ } -> infeasible configuration message)
+         misses
   in
-  let rec interleave plan simulated =
-    match (plan, simulated) with
+  (* Cached outcomes and fresh evaluations, re-interleaved in input
+     order. *)
+  let rec stitch lookups fresh =
+    match (lookups, fresh) with
     | [], _ -> []
-    | `Done o :: plan, simulated -> o :: interleave plan simulated
-    | `Sim _ :: plan, o :: simulated -> o :: interleave plan simulated
-    | `Sim _ :: _, [] -> assert false
+    | (_, Some o) :: lookups, fresh -> o :: stitch lookups fresh
+    | (_, None) :: lookups, o :: fresh -> o :: stitch lookups fresh
+    | (_, None) :: _, [] -> assert false
   in
-  interleave plan simulated
+  stitch lookups fresh
 
 let pareto outcomes =
   let feasible = List.filter (fun o -> o.feasible) outcomes in

@@ -31,7 +31,6 @@ val sweep :
   ?jobs:int ->
   ?config:Sysgen.Replicate.config ->
   ?configurations:configuration list ->
-  ?prefilter:bool ->
   ?cache:Cache.Store.t ->
   n_elements:int ->
   Cfdlang.Ast.program ->
@@ -44,19 +43,12 @@ val sweep :
     [Compile.check] per configuration, regardless of the caller's
     [static_check] setting), and a statically-unsound pipeline is pruned
     (with the verifier's summary as its diagnostic) before any system is
-    built or simulated. A configuration that is infeasible — or that
-    raises anywhere in its compile/build/simulate pipeline — is reported
-    with [feasible = false], zeroed metrics, and the [diagnostic]; it
-    never aborts the other configurations.
-
-    With [prefilter] (default [false]), configurations whose static
-    price — resources from the built system, seconds from the
-    {!Analysis.Cost} cycle model, which matches [Sim.Perf] bit for bit
-    on uniform latencies — is dominated by another configuration are not
-    simulated at all: their outcomes carry the static prediction, the
-    [explore.pruned] counter is bumped once per pruned configuration,
-    and the Pareto frontier is unchanged (a statically dominated point
-    cannot be non-dominated).
+    built or priced. Each surviving configuration is priced once by
+    [Sim.Perf.run_hw], in the same pool task that compiled it. A
+    configuration that is infeasible — or that raises anywhere in its
+    compile/build/price pipeline — is reported with [feasible = false],
+    zeroed metrics, and the [diagnostic]; it never aborts the other
+    configurations.
 
     With [cache], each configuration's final outcome is looked up in
     (and stored into) the artifact store, keyed by the compile key
@@ -64,11 +56,7 @@ val sweep :
     — so an interrupted or re-run sweep warm-starts, recomputing only
     configurations it has never settled, and a [jobs:1] re-run of a
     [jobs:N] sweep returns the identical outcome list. Individual
-    compiles and verdicts inside a miss also go through the cache.
-    Prefilter-pruned static prices are never cached (their soundness is
-    relative to the competing configurations); prefiltering composes
-    with the cache by letting cached outcomes join the domination
-    pool. *)
+    compiles and verdicts inside a miss also go through the cache. *)
 
 val pareto : outcome list -> outcome list
 (** Non-dominated feasible outcomes under (LUT, BRAM, seconds), all

@@ -1,11 +1,9 @@
 (* Device-cycle timeline orchestration: runs the performance model with
    [Obs.Timeline] enabled, joins Memprof's port-pressure audit as
    per-buffer counter tracks, derives the utilization metrics, and
-   cross-validates the captured phases against both [Sim.Perf]'s
-   aggregates and [Analysis.Cost]'s closed form — every mismatch is a
-   [timeline-drift] error, making the timeline a third independent
-   witness of the cycle model. The engine behind [cfdc timeline] and
-   the timeline leg of [cfdc profile]. *)
+   checks that the captured phases tile [Sim.Perf]'s aggregates — every
+   mismatch is a [timeline-drift] error. The engine behind
+   [cfdc timeline] and the timeline leg of [cfdc profile]. *)
 
 module Cost = Analysis.Cost
 module D = Analysis.Diagnostic
@@ -29,7 +27,6 @@ type leg = {
   leg_overlap : bool;
   leg_shape : Cost.shape;
   leg_hw : Sim.Perf.hw_result;
-  leg_estimate : Cost.cycle_estimate;
   leg_capture : TL.capture;
   leg_derived : derived;
   leg_diagnostics : D.t list;
@@ -122,8 +119,10 @@ let derive ~overlap ~(hw : Sim.Perf.hw_result) cap =
     d_port_peak_mean = TL.series_stats cap;
   }
 
-let drift_check ~label ~(hw : Sim.Perf.hw_result)
-    ~(est : Cost.cycle_estimate) cap =
+(* The phases are laid out from the same estimate the aggregates come
+   from, so these sums guard the layout itself: a phase dropped, doubled
+   or mis-sized shows up as a busy sum off its aggregate. *)
+let drift_check ~label ~(hw : Sim.Perf.hw_result) cap =
   let check subject got expected what =
     if got = expected then []
     else
@@ -141,24 +140,10 @@ let drift_check ~label ~(hw : Sim.Perf.hw_result)
       "ctrl-track busy sum vs hw_result.exec_cycles"
   @ check "transfer_cycles" (TL.busy cap "dma") hw.Sim.Perf.transfer_cycles
       "dma-track busy sum vs hw_result.transfer_cycles"
-  @
-  if est.Cost.ce_total_cycles = hw.Sim.Perf.total_cycles then []
-  else
-    [
-      D.error ~rule:"timeline-drift"
-        ~subject:(label ^ ".cost_model")
-        ~witness:(D.Count (est.Cost.ce_total_cycles, hw.Sim.Perf.total_cycles))
-        (Printf.sprintf
-           "Analysis.Cost closed form predicts %d cycles, simulated model \
-            ran %d"
-           est.Cost.ce_total_cycles hw.Sim.Perf.total_cycles);
-    ]
 
-let run_leg ~label ~overlap ~board ~cost ~audit (r : Compile.result)
+let run_leg ~label ~overlap ~board ~audit (r : Compile.result)
     (sys : Sysgen.System.t) =
-  let latency = r.Compile.hls.Hls.Model.latency_cycles in
-  let shape = Costing.shape_of sys in
-  let bm = Costing.board_model board in
+  let shape = Sim.Perf.shape_of sys in
   let was = TL.enabled () in
   TL.set_enabled true;
   TL.reset ();
@@ -174,31 +159,24 @@ let run_leg ~label ~overlap ~board ~cost ~audit (r : Compile.result)
         let hw = run ~system:sys ~board in
         (match audit with
         | Some a ->
-            let block_in =
-              Sim.Perf.transfer_cycles
-                ~bytes:
-                  (shape.Cost.sh_m
-                  * sys.Sysgen.System.host.Sysgen.System.bytes_in_per_element)
-                ~board
+            (* both modes start the first kernel execution once block 0's
+               inputs are in *)
+            let ce =
+              Cost.cycles ~overlap ~board:(Sim.Perf.board_model board) shape
             in
             inject_port_samples ~kernel:r.Compile.proc.Loopir.Prog.name
-              ~start:block_in ~latency a
+              ~start:ce.Cost.ce_block_in ~latency:shape.Cost.sh_latency a
         | None -> ());
         (hw, TL.capture ()))
-  in
-  let est =
-    (if overlap then Cost.cycles_overlapped else Cost.cycles)
-      cost ~latency ~shape ~board:bm
   in
   {
     leg_label = label;
     leg_overlap = overlap;
     leg_shape = shape;
     leg_hw = hw;
-    leg_estimate = est;
     leg_capture = cap;
     leg_derived = derive ~overlap ~hw cap;
-    leg_diagnostics = drift_check ~label ~hw ~est cap;
+    leg_diagnostics = drift_check ~label ~hw cap;
   }
 
 (* --- overlap reshaping -------------------------------------------------- *)
@@ -216,18 +194,17 @@ let overlap_k ~m =
 let analyze ?(config = Sysgen.Replicate.default_config) ?force_k ?force_m
     ?(overlap = Auto) ?(join_memprof = true) ~n_elements (r : Compile.result) =
   let board = config.Sysgen.Replicate.board in
-  let cost = Costing.static r in
   let audit = if join_memprof then Some (audit_of r) else None in
   let sys = Compile.build_system ~config ?force_k ?force_m ~n_elements r in
   Sysgen.System.validate sys;
-  let plain = run_leg ~label:"plain" ~overlap:false ~board ~cost ~audit r sys in
+  let plain = run_leg ~label:"plain" ~overlap:false ~board ~audit r sys in
   let k = sys.Sysgen.System.solution.Sysgen.Replicate.k in
   let m = sys.Sysgen.System.solution.Sysgen.Replicate.m in
   let overlap_legs, top_diags =
     match (overlap, Sim.Perf.overlap_requirement ~k ~m) with
     | Off, _ -> ([], [])
     | _, None ->
-        ( [ run_leg ~label:"overlapped" ~overlap:true ~board ~cost ~audit r sys ],
+        ( [ run_leg ~label:"overlapped" ~overlap:true ~board ~audit r sys ],
           [] )
     | Require, Some msg ->
         ( [],
@@ -267,8 +244,8 @@ let analyze ?(config = Sysgen.Replicate.default_config) ?force_k ?force_m
             | sys' ->
                 Sysgen.System.validate sys';
                 ( [
-                    run_leg ~label:"overlapped" ~overlap:true ~board ~cost
-                      ~audit r sys';
+                    run_leg ~label:"overlapped" ~overlap:true ~board ~audit r
+                      sys';
                   ],
                   [] )))
   in
@@ -316,7 +293,6 @@ let leg_json l =
       ("total_cycles", Obs.Json.Int d.d_total_cycles);
       ("exec_cycles", Obs.Json.Int d.d_exec_cycles);
       ("transfer_cycles", Obs.Json.Int d.d_transfer_cycles);
-      ("predicted_cycles", Obs.Json.Int l.leg_estimate.Cost.ce_total_cycles);
       ("compute_share", Obs.Json.Float d.d_compute_share);
       ("transfer_share", Obs.Json.Float d.d_transfer_share);
       ("overlap_efficiency", Obs.Json.Float d.d_overlap_efficiency);

@@ -9,10 +9,11 @@
     ["plm:<unit>"] counter tracks, derives the utilization metrics the
     paper's discussion is about (compute/transfer shares, overlap
     efficiency, idle cycles per accelerator, peak/mean port pressure),
-    and cross-validates the captured phases against both the
-    simulator's aggregate counters and {!Analysis.Cost}'s closed form:
-    any mismatch is a [timeline-drift] error — the timeline is a third
-    independent witness of the cycle model.
+    and checks that the captured phases tile the performance model's
+    aggregates (host busy = total, ctrl busy = exec, dma busy =
+    transfer): any mismatch is a [timeline-drift] error. The phases and
+    the aggregates come from one {!Analysis.Cost.cycles} estimate, so
+    the check guards the phase layout, not the cycle law.
 
     The enable flag is saved/restored around each run and the store is
     reset afterwards, so callers never observe residual state. *)
@@ -49,7 +50,6 @@ type leg = {
   leg_overlap : bool;
   leg_shape : Analysis.Cost.shape;
   leg_hw : Sim.Perf.hw_result;
-  leg_estimate : Analysis.Cost.cycle_estimate;
   leg_capture : Obs.Timeline.capture;
   leg_derived : derived;
   leg_diagnostics : Analysis.Diagnostic.t list;  (** [timeline-drift] *)
@@ -73,9 +73,9 @@ val analyze :
   Compile.result ->
   report
 (** Build the system at [n_elements] (propagating
-    [Sysgen.Replicate.Infeasible]), run the plain leg and — per
-    [overlap] (default [Auto]) — the overlapped leg, each under a
-    fresh timeline capture. [join_memprof] (default [true]) runs the
+    [Sysgen.Replicate.Infeasible] and [Analysis.Cost.Invalid_shape]),
+    run the plain leg and — per [overlap] (default [Auto]) — the
+    overlapped leg, each under a fresh timeline capture. [join_memprof] (default [true]) runs the
     PLM audit once and joins its pressure series onto the first kernel
     execution's latency window. *)
 

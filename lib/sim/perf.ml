@@ -10,25 +10,25 @@ type hw_result = {
 
 type sw_result = { flops_per_element : int; cpu_cycles : float; seconds : float }
 
-let transfer_cycles ~bytes ~board =
-  let ideal =
-    float_of_int bytes
-    /. float_of_int board.Fpga_platform.Board.axi_bytes_per_cycle
-  in
-  int_of_float (Float.ceil (ideal /. Constants.axi_efficiency))
+module Cost = Analysis.Cost
 
-(* The controller round is simulated cycle-by-cycle, which dominates the
-   wall-clock of a design-space sweep (~latency cycles per configuration,
-   with latencies in the millions for unfactorized kernels). For uniform
-   latencies the round is a pure function of (k, batch, latency), and many
-   configurations of a sweep share all three — memoize it. *)
-let round_memo : (int * int * int, int) Poly.Memo.t =
-  Poly.Memo.create ~name:"sim.round" ()
+let board_model (board : Fpga_platform.Board.t) =
+  {
+    Cost.bm_fmax_mhz = board.Fpga_platform.Board.fmax_mhz;
+    bm_axi_bytes_per_cycle = board.Fpga_platform.Board.axi_bytes_per_cycle;
+    bm_axi_efficiency = Constants.axi_efficiency;
+    bm_handshake_cycles = Constants.controller_handshake_cycles;
+  }
 
-let simulated_round_cycles ~k ~batch ~latency =
-  Poly.Memo.find_or_compute round_memo (k, batch, latency) (fun () ->
-      let ctrl = Sysgen.Axi_ctrl.create ~k ~batch in
-      Sysgen.Axi_ctrl.run_round ctrl ~latencies:(Array.make k latency))
+let shape_of (sys : Sysgen.System.t) =
+  let host = sys.Sysgen.System.host in
+  Cost.shape ~n_elements:host.Sysgen.System.n_elements
+    ~k:sys.Sysgen.System.solution.Sysgen.Replicate.k
+    ~m:sys.Sysgen.System.solution.Sysgen.Replicate.m
+    ~batch:host.Sysgen.System.rounds_per_block
+    ~latency:sys.Sysgen.System.kernel.Hls.Model.latency_cycles
+    ~bytes_in:host.Sysgen.System.bytes_in_per_element
+    ~bytes_out:host.Sysgen.System.bytes_out_per_element
 
 let c_perf_runs = Obs.Metrics.counter "sim.perf.runs"
 let h_total_cycles = Obs.Metrics.histogram "sim.perf.total-cycles"
@@ -46,17 +46,18 @@ let overlap_requirement ~k ~m =
           (k=%d accelerators)"
          m (2 * k) k)
 
-(* The per-phase emission behind [Obs.Timeline]: every quantity is
-   already closed-form, so the phases are laid out directly on the
-   cycle clock. Non-overlapped blocks tile the host track back to back
-   (dma-in, compute, dma-out); the overlapped pipeline is fill +
-   [blocks] steady-state slots of max(io, compute) + drain, with the
-   DMA engine draining block b-1 and prefetching block b+1 inside slot
-   b. Controller rounds and per-kernel executions are nested inside
+(* The per-phase emission behind [Obs.Timeline], laid out from the
+   cycle model's own estimate. Non-overlapped blocks tile the host track
+   back to back (dma-in, compute, dma-out); the overlapped pipeline is
+   fill + [blocks] steady-state slots of max(io, compute) + drain, with
+   the DMA engine draining block b-1 and prefetching block b+1 inside
+   slot b. Controller rounds and per-kernel executions are nested inside
    every compute window, so the ctrl track's busy cycles sum to
    exec_cycles and the dma track's to transfer_cycles exactly. *)
-let emit_timeline ~overlap ~k ~latency ~round_cycles ~block_in ~block_out
-    ~blocks ~batch =
+let emit_timeline ~overlap (s : Cost.shape) (ce : Cost.cycle_estimate) =
+  let k = s.Cost.sh_k and batch = s.Cost.sh_batch in
+  let round_cycles = ce.Cost.ce_round_cycles and blocks = ce.Cost.ce_blocks in
+  let block_in = ce.Cost.ce_block_in and block_out = ce.Cost.ce_block_out in
   let compute_block = batch * round_cycles in
   let io_block = block_in + block_out in
   let acc = Array.init k (fun i -> "acc" ^ string_of_int i) in
@@ -71,7 +72,7 @@ let emit_timeline ~overlap ~k ~latency ~round_cycles ~block_in ~block_out
         ~dur:round_cycles ~attrs ();
       for i = 0 to k - 1 do
         Obs.Timeline.phase ~track:acc.(i) ~name:"kernel" ~start:rs
-          ~dur:latency ~attrs ()
+          ~dur:s.Cost.sh_latency ~attrs ()
       done
     done
   in
@@ -118,8 +119,8 @@ let emit_timeline ~overlap ~k ~latency ~round_cycles ~block_in ~block_out
   end
 
 let run_hw_general ~overlap ~(system : Sysgen.System.t) ~board =
-  let sol = system.Sysgen.System.solution in
-  let k = sol.Sysgen.Replicate.k and m = sol.Sysgen.Replicate.m in
+  let shape = shape_of system in
+  let k = shape.Cost.sh_k and m = shape.Cost.sh_m in
   (if overlap then
      match overlap_requirement ~k ~m with
      | Some msg -> invalid_arg ("Perf.run_hw: " ^ msg)
@@ -128,47 +129,19 @@ let run_hw_general ~overlap ~(system : Sysgen.System.t) ~board =
   Obs.Trace.with_span "sim.perf" @@ fun () ->
   Obs.Trace.span_attr "k" (string_of_int k);
   Obs.Trace.span_attr "m" (string_of_int m);
-  let host = system.Sysgen.System.host in
-  let latency = system.Sysgen.System.kernel.Hls.Model.latency_cycles in
-  (* Every round is identical (same latency on all k accelerators), so
-     one round is simulated cycle-by-cycle through the controller FSM and
-     the result is multiplied out over the host main loop. *)
-  let round_cycles = simulated_round_cycles ~k
-      ~batch:host.Sysgen.System.rounds_per_block ~latency in
-  let block_in =
-    transfer_cycles ~bytes:(m * host.Sysgen.System.bytes_in_per_element) ~board
-  in
-  let block_out =
-    transfer_cycles ~bytes:(m * host.Sysgen.System.bytes_out_per_element) ~board
-  in
-  let blocks = host.Sysgen.System.block_iterations in
-  let batch = host.Sysgen.System.rounds_per_block in
-  let compute_block = batch * round_cycles in
-  let io_block = block_in + block_out in
-  if Obs.Timeline.enabled () then
-    emit_timeline ~overlap ~k ~latency ~round_cycles ~block_in ~block_out
-      ~blocks ~batch;
-  let exec = ref (blocks * compute_block) in
-  let transfer = ref (blocks * io_block) in
+  let ce = Cost.cycles ~overlap ~board:(board_model board) shape in
+  if Obs.Timeline.enabled () then emit_timeline ~overlap shape ce;
   let freq = float_of_int board.Fpga_platform.Board.fmax_mhz *. 1e6 in
-  let total =
-    if overlap then
-      (* two-stage pipeline: fill with the first block's input, drain with
-         the last block's output; steady state is bound by the slower of
-         DMA and compute *)
-      io_block + (blocks * max io_block compute_block)
-    else !exec + !transfer
-  in
-  Obs.Trace.span_attr "round_cycles" (string_of_int round_cycles);
-  Obs.Metrics.observe h_total_cycles (float_of_int total);
+  Obs.Trace.span_attr "round_cycles" (string_of_int ce.Cost.ce_round_cycles);
+  Obs.Metrics.observe h_total_cycles (float_of_int ce.Cost.ce_total_cycles);
   {
     k;
     m;
-    exec_cycles = !exec;
-    transfer_cycles = !transfer;
-    total_cycles = total;
-    exec_seconds = float_of_int !exec /. freq;
-    total_seconds = float_of_int total /. freq;
+    exec_cycles = ce.Cost.ce_exec_cycles;
+    transfer_cycles = ce.Cost.ce_transfer_cycles;
+    total_cycles = ce.Cost.ce_total_cycles;
+    exec_seconds = float_of_int ce.Cost.ce_exec_cycles /. freq;
+    total_seconds = ce.Cost.ce_seconds;
   }
 
 let run_sw ~variant ~flops_per_element ~n_elements ~board =

@@ -1,7 +1,7 @@
-(** Performance simulation of the complete system: the host main loop of
-    Section V-B driven by the AXI-lite controller model, the transfer
-    model, and the analytical ARM baseline. Regenerates the measurements
-    behind Figures 9 and 10. *)
+(** Performance model of the complete system: the host main loop of
+    Section V-B priced by {!Analysis.Cost.cycles} (controller rounds,
+    AXI transfers, optional double buffering), plus the analytical ARM
+    baseline. Regenerates the measurements behind Figures 9 and 10. *)
 
 type hw_result = {
   k : int;
@@ -19,9 +19,14 @@ type sw_result = {
   seconds : float;
 }
 
-val transfer_cycles : bytes:int -> board:Fpga_platform.Board.t -> int
-(** Cycles (at the accelerator clock) to move [bytes] over the AXI path
-    at the calibrated efficiency. *)
+val board_model : Fpga_platform.Board.t -> Analysis.Cost.board_model
+(** The board's clock and AXI width with the calibrated {!Constants}. *)
+
+val shape_of : Sysgen.System.t -> Analysis.Cost.shape
+(** The cycle model's input for a built system: its element count,
+    Eq.-(3) solution, kernel latency and per-element DMA volumes.
+    @raise Analysis.Cost.Invalid_shape on an out-of-range shape (e.g.
+    a system built for [n_elements < 1]). *)
 
 val overlap_requirement : k:int -> m:int -> string option
 (** [None] when the double-buffering requirement [m >= 2k] holds,
@@ -32,17 +37,19 @@ val overlap_requirement : k:int -> m:int -> string option
 
 val run_hw :
   system:Sysgen.System.t -> board:Fpga_platform.Board.t -> hw_result
-(** Simulates the host main loop: [N_e / m] iterations of (input
-    transfers for m elements; m/k controller rounds, each fired through
-    {!Sysgen.Axi_ctrl.run_round}; output transfers). No transfer/compute
-    overlap — reproducing the paper's evaluated implementation, and the
-    reason its k<m batching experiments showed no improvement.
+(** The host main loop, [ceil(N_e / m)] iterations of (input transfers
+    for m elements; m/k controller rounds of latency + handshake; output
+    transfers), priced by [Analysis.Cost.cycles ~overlap:false]. No
+    transfer/compute overlap — reproducing the paper's evaluated
+    implementation, and the reason its k<m batching experiments showed
+    no improvement.
 
     When {!Obs.Timeline.enabled} the run also emits every phase
     instance (per-block dma-in / dma-out on the ["host"] and ["dma"]
     tracks, controller rounds on ["ctrl"], per-kernel executions on
     ["acc<i>"]) on the modeled cycle clock; the disabled path is a
-    single branch — bit-identical results, no allocation. *)
+    single branch — bit-identical results, no allocation.
+    @raise Analysis.Cost.Invalid_shape (see {!shape_of}). *)
 
 val run_hw_overlapped :
   system:Sysgen.System.t -> board:Fpga_platform.Board.t -> hw_result
@@ -50,8 +57,9 @@ val run_hw_overlapped :
     work: requires [m >= 2k] (half the PLM sets hold the in-flight block
     while the other half is drained/filled) and pipelines each block's
     transfers against the previous block's compute rounds; steady-state
-    block time is [max(transfers, compute)]. Emits fill / steady /
-    drain timeline phases under the same gate as {!run_hw}.
+    block time is [max(transfers, compute)]
+    ([Analysis.Cost.cycles ~overlap:true]). Emits fill / steady / drain
+    timeline phases under the same gate as {!run_hw}.
     @raise Invalid_argument when [m < 2k] (see {!overlap_requirement}). *)
 
 val run_sw :

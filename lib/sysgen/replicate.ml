@@ -50,6 +50,8 @@ let feasible config ~kernel ~plm_brams ~k ~m =
 let solve ?(config = default_config) ~kernel ~plm_brams ?force_k ?force_m () =
   let avail = available config in
   let mk k m =
+    if k < 1 || m < 1 then
+      infeasible "k = %d, m = %d: both must be at least 1" k m;
     if m < k then infeasible "m = %d < k = %d" m k;
     if m mod k <> 0 || not (is_power_of_two (m / k)) then
       infeasible "m = %d is not a power-of-two multiple of k = %d" m k;

@@ -12,7 +12,7 @@
    - a cache hit is bit-identical to the miss that wrote it, for the
      compile products, the verdict, the static cost record, and whole
      sweep outcome lists -- including jobs:1 vs jobs:N over one shared
-     warm store, and composed with the static pre-filter. *)
+     warm store. *)
 
 open Cfd_core
 
@@ -356,22 +356,6 @@ let test_sweep_jobs_shared_cache () =
   Alcotest.(check bool) "disk-tier warm sweep agrees" true
     (Stdlib.compare s1 s1' = 0)
 
-let test_sweep_prefilter_composes () =
-  with_dir @@ fun dir ->
-  let ast = Cfdlang.Ast.inverse_helmholtz ~p:3 () in
-  let baseline = Explore.sweep ~jobs:2 ~prefilter:true ~n_elements:512 ast in
-  let store = Cache.Store.create ~dir () in
-  let cold =
-    Explore.sweep ~jobs:2 ~prefilter:true ~cache:store ~n_elements:512 ast
-  in
-  let warm =
-    Explore.sweep ~jobs:2 ~prefilter:true ~cache:store ~n_elements:512 ast
-  in
-  Alcotest.(check bool) "prefilter x cache, cold = uncached" true
-    (Stdlib.compare baseline cold = 0);
-  Alcotest.(check bool) "prefilter x cache, warm = uncached" true
-    (Stdlib.compare baseline warm = 0)
-
 (* ------------------------------------------------------------------ *)
 (* qcheck: random kernels x option points                             *)
 (* ------------------------------------------------------------------ *)
@@ -487,7 +471,6 @@ let suite =
         case "static cost cached" test_costing_warm;
         case "sweep warm-start" test_sweep_warm_start;
         case "sweep jobs share one store" test_sweep_jobs_shared_cache;
-        case "sweep prefilter composes" test_sweep_prefilter_composes;
       ] );
     ( "cache.qcheck",
       [

@@ -1,7 +1,8 @@
 (* Black-box tests of the cfdc command line: the profile and memprof
    subcommands exit 0 on a good kernel and write well-formed JSON
-   artifacts; bad flags and missing files exit non-zero. Runs the real
-   binary as a subprocess, like CI does. *)
+   artifacts; bad flags and missing files exit non-zero; out-of-range
+   shapes exit 1 with a one-line cfdc: error. Runs the real binary as a
+   subprocess, like CI does. *)
 
 let cfdc () =
   if Sys.file_exists "../bin/cfdc.exe" then "../bin/cfdc.exe"
@@ -33,6 +34,25 @@ let run_capture args =
   close_in ic;
   Sys.remove out;
   (code, text)
+
+(* Like [run_capture], but keeps stdout and stderr apart. *)
+let run_split args =
+  let out = Filename.temp_file "cfdc_cli" ".out"
+  and err = Filename.temp_file "cfdc_cli" ".err" in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote (cfdc () :: args))
+      ^ " >" ^ Filename.quote out ^ " 2>" ^ Filename.quote err)
+  in
+  let slurp path =
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    text
+  in
+  let stdout = slurp out in
+  (code, stdout, slurp err)
 
 let contains ~sub s =
   let n = String.length sub and l = String.length s in
@@ -395,6 +415,25 @@ let test_bad_flags_rejected () =
       ("cache without action", [ "cache" ]);
     ]
 
+(* An out-of-range shape is a one-line user error: exit 1 with a
+   [cfdc:] message, never a drift report or an uncaught exception. *)
+let rejects_shape args () =
+  let code, stdout, stderr = run_split args in
+  Alcotest.(check int) "exits 1" 1 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "stderr starts with cfdc: (%S)" stderr)
+    true
+    (String.length stderr >= 5 && String.sub stderr 0 5 = "cfdc:");
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "no %S in the output" needle)
+        false
+        (contains ~sub:needle stdout || contains ~sub:needle stderr))
+    [ "timeline-drift"; "Fatal error" ]
+
+let timeline = [ "timeline"; kernel "inverse_helmholtz.cfd" ]
+
 let () =
   Alcotest.run "cfdc-cli"
     [
@@ -412,6 +451,12 @@ let () =
             test_memprof_rejects_sharded;
           Alcotest.test_case "bad flags and missing files exit non-zero"
             `Quick test_bad_flags_rejected;
+          Alcotest.test_case "timeline --elements=0 is a cfdc: error" `Quick
+            (rejects_shape (timeline @ [ "--elements=0" ]));
+          Alcotest.test_case "timeline --elements=-5 is a cfdc: error" `Quick
+            (rejects_shape (timeline @ [ "--elements=-5" ]));
+          Alcotest.test_case "timeline -k 0 is a cfdc: error" `Quick
+            (rejects_shape (timeline @ [ "-k"; "0" ]));
         ] );
       ( "cache",
         [

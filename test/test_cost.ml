@@ -1,9 +1,9 @@
 (* Static cost model: count_points unit cases, deterministic and QCheck
-   differentials against the exec/sim/memprof instrumentation, bit-exact
-   cycle-model equality with Sim.Perf across forced shapes, drift-detector
-   mutations (each perturbed observation fires exactly its rule), the
-   sweep static pre-filter equivalence, the verify-once span count, and a
-   doc-drift check against docs/ANALYSIS.md's rule catalogue. *)
+   differentials against the exec/sim/memprof instrumentation, the cycle
+   model's shape validation, drift-detector mutations (each perturbed
+   observation fires exactly its rule), the sweep's verify-once span
+   count and jobs independence, and a doc-drift check against
+   docs/ANALYSIS.md's rule catalogue. *)
 
 open Cfd_core
 module Cost = Analysis.Cost
@@ -140,40 +140,31 @@ let qcheck_static_dynamic =
       | None -> QCheck.Test.fail_reportf "the differential did not run")
 
 (* ------------------------------------------------------------------ *)
-(* Cycle model: bit-identical to Sim.Perf across forced shapes         *)
+(* Cycle model: the shape record is validated once                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_cycle_model_matches_sim () =
-  let r = Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p:5 ()) in
-  let cost = Costing.static r in
+let test_shape_validation () =
+  let shape ?(n = 64) ?(k = 2) ?(m = 4) ?(batch = 2) () =
+    Cost.shape ~n_elements:n ~k ~m ~batch ~latency:100 ~bytes_in:8
+      ~bytes_out:8
+  in
+  ignore (shape ());
   List.iter
-    (fun (force_k, force_m, n_elements) ->
-      let sys = Compile.build_system ?force_k ?force_m ~n_elements r in
-      let est = Costing.estimate ~board ~system:sys r cost in
-      let hw = Sim.Perf.run_hw ~system:sys ~board in
-      let what =
-        Printf.sprintf "k:%s m:%s n:%d"
-          (match force_k with Some k -> string_of_int k | None -> "max")
-          (match force_m with Some m -> string_of_int m | None -> "max")
-          n_elements
-      in
-      Alcotest.(check int)
-        (what ^ ": total cycles")
-        hw.Sim.Perf.total_cycles est.Cost.ce_total_cycles;
-      Alcotest.(check int)
-        (what ^ ": exec cycles")
-        hw.Sim.Perf.exec_cycles est.Cost.ce_exec_cycles;
-      Alcotest.(check int)
-        (what ^ ": transfer cycles")
-        hw.Sim.Perf.transfer_cycles est.Cost.ce_transfer_cycles;
-      Alcotest.(check (float 0.))
-        (what ^ ": seconds")
-        hw.Sim.Perf.total_seconds est.Cost.ce_seconds)
+    (fun (what, needle, build) ->
+      match build () with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Cost.Invalid_shape msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names %S" what msg needle)
+            true
+            (Str.string_match (Str.regexp_string needle) msg 0))
     [
-      (None, None, 1000);
-      (Some 1, Some 1, 37);
-      (Some 1, Some 2, 64);
-      (Some 2, Some 4, 1000);
+      ("no elements", "n_elements = 0", fun () -> shape ~n:0 ());
+      ("negative elements", "n_elements = -5", fun () -> shape ~n:(-5) ());
+      ("no accelerators", "k = 0", fun () -> shape ~k:0 ());
+      ("fewer sets than accelerators", "m = 1 < k = 2",
+        fun () -> shape ~m:1 ());
+      ("empty batch", "batch = 0", fun () -> shape ~batch:0 ());
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -222,9 +213,7 @@ let fixture =
   lazy
     (let r = Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p:3 ()) in
      let cost = Costing.static r in
-     let sys = Compile.build_system ~n_elements:32 r in
-     let est = Costing.estimate ~board ~system:sys r cost in
-     (r, cost, est))
+     (r, cost))
 
 let drift_n = 2
 
@@ -255,7 +244,7 @@ let accessed_buffer (cost : Cost.t) =
     .Cost.buf_name
 
 let test_drift_mutations () =
-  let _, cost, est = Lazy.force fixture in
+  let _, cost = Lazy.force fixture in
   let n = drift_n in
   let base = Cost.no_observation ~n ~m:2 in
   let check what expected obs =
@@ -325,24 +314,10 @@ let test_drift_mutations () =
   check "unknown buffer observed" [ "cost-drift-access" ]
     { base with Cost.obs_buffers = Some (("phantom", 1, 0, 1) :: buffers) };
   check "architecture BRAM claim perturbed" [ "cost-drift-brams" ]
-    { base with Cost.obs_total_brams = Some (cost.Cost.brams + 1) };
-  Alcotest.(check (list string))
-    "matching cycle estimate is clean" []
-    (rules
-       (Cost.drift cost ~cycle_model:est
-          { base with Cost.obs_total_cycles = Some est.Cost.ce_total_cycles }));
-  Alcotest.(check (list string))
-    "cycle estimate perturbed" [ "cost-drift-cycles" ]
-    (rules
-       (Cost.drift cost ~cycle_model:est
-          {
-            base with
-            Cost.obs_total_cycles = Some (est.Cost.ce_total_cycles + 1);
-          }))
+    { base with Cost.obs_total_brams = Some (cost.Cost.brams + 1) }
 
 (* ------------------------------------------------------------------ *)
-(* Explore: verified exactly once, and the static pre-filter is        *)
-(* outcome-preserving with strictly fewer simulations                  *)
+(* Explore: verified exactly once, outcomes independent of jobs        *)
 (* ------------------------------------------------------------------ *)
 
 let count_spans name =
@@ -366,69 +341,29 @@ let test_verify_once () =
       };
     ]
   in
-  List.iter
-    (fun jobs ->
-      Obs.Trace.reset ();
-      Obs.Trace.set_enabled true;
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.Trace.set_enabled false;
-          Obs.Trace.reset ())
-        (fun () ->
-          let outcomes =
-            Explore.sweep ~jobs ~configurations ~n_elements:256 ast
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "jobs:%d: every configuration reported" jobs)
-            3 (List.length outcomes);
-          Alcotest.(check int)
-            (Printf.sprintf
-               "jobs:%d: exactly one verifier pass per configuration" jobs)
-            3
-            (count_spans "verify.structure")))
-    [ 1; 4 ]
-
-let sweep_with_counters ~jobs ~prefilter ~n_elements ast =
-  Poly.Memo.clear_all ();
-  let runs = Obs.Metrics.counter "sim.perf.runs" in
-  let pruned = Obs.Metrics.counter "explore.pruned" in
-  let r0 = Obs.Metrics.counter_value runs in
-  let p0 = Obs.Metrics.counter_value pruned in
-  let outcomes = Explore.sweep ~jobs ~prefilter ~n_elements ast in
-  ( outcomes,
-    Obs.Metrics.counter_value runs - r0,
-    Obs.Metrics.counter_value pruned - p0 )
-
-let test_prefilter_equivalence () =
-  let ast = Cfdlang.Ast.inverse_helmholtz ~p:7 () in
-  let n_elements = 1024 in
-  let full, full_sims, full_pruned =
-    sweep_with_counters ~jobs:1 ~prefilter:false ~n_elements ast
+  let sweep jobs =
+    Obs.Trace.reset ();
+    Obs.Trace.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Trace.set_enabled false;
+        Obs.Trace.reset ())
+      (fun () ->
+        let outcomes =
+          Explore.sweep ~jobs ~configurations ~n_elements:256 ast
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "jobs:%d: every configuration reported" jobs)
+          3 (List.length outcomes);
+        Alcotest.(check int)
+          (Printf.sprintf
+             "jobs:%d: exactly one verifier pass per configuration" jobs)
+          3
+          (count_spans "verify.structure");
+        outcomes)
   in
-  let filt, filt_sims, filt_pruned =
-    sweep_with_counters ~jobs:1 ~prefilter:true ~n_elements ast
-  in
-  Alcotest.(check int) "unfiltered sweep prunes nothing" 0 full_pruned;
-  Alcotest.(check bool)
-    "pre-filter pruned at least one configuration" true (filt_pruned > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "strictly fewer simulations (%d < %d)" filt_sims full_sims)
-    true
-    (filt_sims < full_sims);
-  Alcotest.(check bool)
-    "identical outcomes (the static price matches the simulator bit for bit)"
-    true (full = filt);
-  let labels os =
-    List.map (fun o -> o.Explore.configuration.Explore.label) (Explore.pareto os)
-  in
-  Alcotest.(check (list string))
-    "identical Pareto frontier" (labels full) (labels filt);
-  let filt4, _, filt4_pruned =
-    sweep_with_counters ~jobs:4 ~prefilter:true ~n_elements ast
-  in
-  Alcotest.(check bool) "jobs:1 = jobs:4 under the pre-filter" true
-    (filt = filt4);
-  Alcotest.(check int) "jobs:4 prunes the same set" filt_pruned filt4_pruned
+  let seq = sweep 1 in
+  Alcotest.(check bool) "jobs:1 = jobs:4 outcomes" true (seq = sweep 4)
 
 (* ------------------------------------------------------------------ *)
 (* Doc drift: docs/ANALYSIS.md's cost-* catalogue = the emitted rules  *)
@@ -455,7 +390,7 @@ let documented_cost_rules () =
   |> List.sort_uniq compare
 
 let emitted_cost_rules () =
-  let r, cost, est = Lazy.force fixture in
+  let r, cost = Lazy.force fixture in
   let acc = ref [] in
   let collect ds = List.iter (fun d -> acc := d.D.rule :: !acc) ds in
   collect (snd (Cost.count_points ~subject:"ray" (unbounded ())));
@@ -490,9 +425,6 @@ let emitted_cost_rules () =
                 (correct_buffers cost));
        });
   collect
-    (Cost.drift cost ~cycle_model:est
-       { base with Cost.obs_total_cycles = Some (est.Cost.ce_total_cycles + 1) });
-  collect
     (Cost.drift cost { base with Cost.obs_total_brams = Some (cost.Cost.brams + 1) });
   List.sort_uniq compare !acc
 
@@ -523,8 +455,7 @@ let suite =
       @ [ Test_seed.to_alcotest qcheck_static_dynamic ] );
     ( "cost.model",
       [
-        case "cycle model = Sim.Perf across forced shapes"
-          test_cycle_model_matches_sim;
+        case "shape rejects out-of-range inputs" test_shape_validation;
         case "DMA words per PLM set" test_dma_words_per_set;
         case "port overcommit at unroll 8" test_port_overcommit;
       ] );
@@ -532,8 +463,6 @@ let suite =
     ( "cost.explore",
       [
         case "every configuration is verified exactly once" test_verify_once;
-        case "static pre-filter preserves outcomes with fewer simulations"
-          test_prefilter_equivalence;
       ] );
     ( "cost.docs",
       [ case "ANALYSIS.md rule catalogue matches the analyzer" test_doc_drift ]

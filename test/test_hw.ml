@@ -333,6 +333,31 @@ let test_axi_batch_counter () =
   let out = Sysgen.Axi_ctrl.step ctrl ~ready:[| true; true |] ~done_:[| false; false |] in
   Alcotest.(check int) "wrapped" 0 out.Sysgen.Axi_ctrl.batch_index
 
+(* The controller FSM is the independent oracle for the cycle model's
+   round term: stepped cycle by cycle, a uniform-latency round costs the
+   kernel latency plus the handshake, whatever k and batch. *)
+let qcheck_axi_round_oracle =
+  let board =
+    Sim.Perf.board_model Sysgen.Replicate.default_config.Sysgen.Replicate.board
+  in
+  QCheck.Test.make ~name:"FSM round = the cycle model's round" ~count:200
+    QCheck.(triple (int_range 1 16) (int_range 1 8) (int_range 0 20_000))
+    (fun (k, batch, latency) ->
+      let ctrl = Sysgen.Axi_ctrl.create ~k ~batch in
+      let fsm =
+        Sysgen.Axi_ctrl.run_round ctrl ~latencies:(Array.make k latency)
+      in
+      let model =
+        (Analysis.Cost.cycles ~overlap:false ~board
+           (Analysis.Cost.shape ~n_elements:1 ~k ~m:(k * batch) ~batch
+              ~latency ~bytes_in:0 ~bytes_out:0))
+          .Analysis.Cost.ce_round_cycles
+      in
+      (fsm = model
+      && model = latency + Sim.Constants.controller_handshake_cycles)
+      || QCheck.Test.fail_reportf "k=%d batch=%d latency=%d: FSM %d, model %d"
+           k batch latency fsm model)
+
 let test_axi_protocol_errors () =
   let ctrl = Sysgen.Axi_ctrl.create ~k:2 ~batch:1 in
   Sysgen.Axi_ctrl.write_start ctrl;
@@ -460,7 +485,15 @@ let test_perf_batching_no_improvement () =
     (t416.Sim.Perf.total_seconds >= 0.99 *. t44.Sim.Perf.total_seconds)
 
 let test_perf_transfer_model () =
-  let cycles = Sim.Perf.transfer_cycles ~bytes:16000 ~board in
+  let shape =
+    Analysis.Cost.shape ~n_elements:1 ~k:1 ~m:1 ~batch:1 ~latency:0
+      ~bytes_in:16000 ~bytes_out:0
+  in
+  let cycles =
+    (Analysis.Cost.cycles ~overlap:false ~board:(Sim.Perf.board_model board)
+       shape)
+      .Analysis.Cost.ce_block_in
+  in
   (* 1000 ideal cycles at 16 B/cycle, divided by the calibrated efficiency *)
   Alcotest.(check bool) "efficiency applied" true (cycles > 1000 && cycles < 2500)
 
@@ -573,6 +606,7 @@ let suite =
         case "batch counter" test_axi_batch_counter;
         case "protocol errors" test_axi_protocol_errors;
         case "waits for ready" test_axi_waits_for_ready;
+        Test_seed.to_alcotest qcheck_axi_round_oracle;
       ] );
     ( "sysgen.system",
       [
