@@ -7,7 +7,9 @@
 
    - randomly generated loop-nest programs (qcheck), at Checked mode
      always, and additionally at Unchecked/Debug when the static
-     verifier licenses them;
+     verifier licenses them; beside the plain engine runs the probed
+     one, whose probe must report exactly the sites, loop values and
+     accesses a reference walk of the proc predicts;
    - the full 64-point compile-option matrix on a small programmatic
      kernel;
    - every kernel under [kernels/], on representative option sets.
@@ -53,52 +55,203 @@ let run_compiled ~mode proc inputs =
   | bindings -> Ran bindings
   | exception Compiled.Error m -> Failed m
 
-(* The differential heart: reference and compiled engine must agree on
-   outcome; on success the buffers must match bit for bit. When the
-   static verifier licenses unchecked execution, the reference must not
-   have failed a bounds check (that would be verifier unsoundness), and
-   the unchecked and debug runs must reproduce the reference bits. *)
-let check_differential ?(debug = true) ~what proc inputs =
+(* ------------------------------------------------------------------ *)
+(* The probed engine                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Leaf statements in pre-order with their enclosing loop names,
+   outermost first: the sites a probe must see at compile time. *)
+let sites_of (proc : Prog.proc) =
+  let rec go vars acc = function
+    | Prog.For l -> List.fold_left (go (vars @ [ l.Prog.var ])) acc l.Prog.body
+    | leaf -> (Array.of_list vars, leaf) :: acc
+  in
+  Array.of_list (List.rev (List.fold_left (go []) [] proc.Prog.body))
+
+let rec n_leaves = function
+  | Prog.For l -> List.fold_left (fun n s -> n + n_leaves s) 0 l.Prog.body
+  | _ -> 1
+
+let rec loads (e : Prog.fexpr) =
+  match e with
+  | Prog.Const _ | Prog.Scalar _ -> []
+  | Prog.Load (a, ix) -> [ (a, ix) ]
+  | Prog.Add (x, y) | Prog.Sub (x, y) | Prog.Mul (x, y) | Prog.Div (x, y) ->
+      loads x @ loads y
+
+(* One dynamic leaf execution: its site, the enclosing loop values
+   (outermost first), the multiset of reads (sorted) and the writes. *)
+type instance = {
+  site : int;
+  values : int array;
+  reads : (string * int) list;
+  writes : (string * int) list;
+}
+
+(* The reference walk: every leaf instance in execution order. Indices
+   are affine in the loop variables, so the walk needs no data. *)
+let walk (proc : Prog.proc) =
+  let out = ref [] in
+  let rec stmts site env body =
+    ignore
+      (List.fold_left
+         (fun site s ->
+           stmt site env s;
+           site + n_leaves s)
+         site body)
+  and stmt site env = function
+    | Prog.For l ->
+        for v = l.Prog.lo to l.Prog.hi - 1 do
+          stmts site ((l.Prog.var, v) :: env) l.Prog.body
+        done
+    | leaf ->
+        let ix i = Ix.eval i (fun v -> List.assoc v env) in
+        let value, writes =
+          match leaf with
+          | Prog.Store { array; index; value } | Prog.Accum { array; index; value }
+            ->
+              (value, [ (array, ix index) ])
+          | Prog.Set_scalar { value; _ } | Prog.Acc_scalar { value; _ } ->
+              (value, [])
+          | Prog.For _ -> assert false
+        in
+        out :=
+          {
+            site;
+            values = Array.of_list (List.rev_map snd env);
+            reads = List.sort compare (List.map (fun (a, i) -> (a, ix i)) (loads value));
+            writes;
+          }
+          :: !out
+  in
+  stmts 0 [] proc.Prog.body;
+  List.rev !out
+
+(* A probe that records what it sees. Per event it insists that an
+   access belongs to the current instance's site and that nothing
+   follows the instance's write; [check_sites] compares the compile-time
+   sites with [sites_of], [check_instances] a successful run with
+   [walk]. *)
+let recording_probe ~what proc =
+  let sites = ref [] and log = ref [] in
+  let on_site ~site ~vars ~stmt = sites := (site, vars, stmt) :: !sites in
+  let on_instance ~site ~values =
+    log := { site; values; reads = []; writes = [] } :: !log
+  in
+  let on_access ~site ~buffer ~index ~write =
+    match !log with
+    | [] -> Alcotest.failf "%s: access to %s before any instance" what buffer
+    | i :: rest ->
+        if site <> i.site then
+          Alcotest.failf "%s: access at site %d inside an instance of site %d"
+            what site i.site;
+        if i.writes <> [] then
+          Alcotest.failf "%s: access to %s after the write at site %d" what
+            buffer site;
+        log :=
+          (if write then { i with writes = [ (buffer, index) ] }
+           else { i with reads = (buffer, index) :: i.reads })
+          :: rest
+  in
+  let check_sites () =
+    let expected = sites_of proc in
+    let got = List.sort compare !sites in
+    if List.length got <> Array.length expected then
+      Alcotest.failf "%s: %d sites reported, %d leaves" what (List.length got)
+        (Array.length expected);
+    List.iteri
+      (fun n (site, vars, stmt) ->
+        let evars, estmt = expected.(n) in
+        if site <> n || vars <> evars || stmt <> estmt then
+          Alcotest.failf "%s: site %d does not match leaf %d in pre-order" what
+            site n)
+      got
+  in
+  let check_instances () =
+    let got =
+      List.rev_map (fun i -> { i with reads = List.sort compare i.reads }) !log
+    in
+    let expected = walk proc in
+    if List.length got <> List.length expected then
+      Alcotest.failf "%s: %d instances reported, %d executed" what
+        (List.length got) (List.length expected);
+    List.iteri
+      (fun n (g, e) ->
+        if g.site <> e.site || g.values <> e.values then
+          Alcotest.failf "%s: instance %d has the wrong site or loop values" what n;
+        if g.reads <> e.reads then
+          Alcotest.failf "%s: instance %d (site %d) read the wrong multiset" what
+            n e.site;
+        if g.writes <> e.writes then
+          Alcotest.failf "%s: instance %d (site %d) has the wrong writes" what n
+            e.site)
+      (List.combine got expected)
+  in
+  ({ Compiled.on_site; on_instance; on_access }, check_sites, check_instances)
+
+let run_probed ~what ~mode proc inputs =
+  let probe, check_sites, check_instances = recording_probe ~what proc in
+  let t = Compiled.compile ~mode ~probe proc in
+  check_sites ();
+  Alcotest.(check bool) (what ^ ": probed") true (Compiled.probed t);
+  let fr = Compiled.make_frame t in
+  List.iter
+    (fun (name, src) ->
+      Array.blit src 0 (Compiled.buffer t fr name) 0 (Array.length src))
+    inputs;
+  match Compiled.run t fr with
+  | () ->
+      check_instances ();
+      Ran
+        (List.map
+           (fun (p : Prog.param) -> (p.Prog.name, Compiled.buffer t fr p.Prog.name))
+           proc.Prog.params)
+  | exception Compiled.Error m -> Failed m
+
+(* The differential heart: reference and every compiled engine must
+   agree on outcome; on success the buffers must match bit for bit. When
+   the static verifier licenses unchecked execution, the reference must
+   not have failed a bounds check (that would be verifier unsoundness),
+   and the unchecked runs must reproduce the reference bits. The probed
+   engine runs beside the plain one in both modes, its probe checked
+   against a reference walk on every successful run. *)
+let check_differential ?(debug = true) ?(probed = true) ~what proc inputs =
   let reference = run_interp proc inputs in
   let mode = Analysis.Verify.execution_mode proc in
-  (match (reference, run_compiled ~mode:Compiled.Checked proc inputs) with
-  | Ran bi, Ran bc ->
-      if not (buffers_identical bc bi) then
-        Alcotest.failf "%s: checked run differs from interpreter" what
-  | Failed _, Failed _ ->
-      if mode = Compiled.Unchecked then
-        Alcotest.failf
-          "%s: verifier licensed unchecked execution but the reference \
-           interpreter failed a dynamic check"
-          what
-  | Ran _, Failed m ->
-      Alcotest.failf "%s: compiled errored (%s) but interpreter succeeded" what
-        m
-  | Failed m, Ran _ ->
-      Alcotest.failf "%s: interpreter errored (%s) but compiled succeeded" what
-        m);
+  let agree engine got =
+    match (reference, got) with
+    | Ran bi, Ran bc ->
+        if not (buffers_identical bc bi) then
+          Alcotest.failf "%s: %s run differs from interpreter" what engine
+    | Failed _, Failed _ ->
+        if mode = Compiled.Unchecked then
+          Alcotest.failf
+            "%s: verifier licensed unchecked execution but the reference \
+             interpreter failed a dynamic check"
+            what
+    | Ran _, Failed m ->
+        Alcotest.failf "%s: %s run errored (%s) but interpreter succeeded" what
+          engine m
+    | Failed m, Ran _ ->
+        Alcotest.failf "%s: interpreter errored (%s) but %s run succeeded" what
+          m engine
+  in
+  let engines mode =
+    agree (if mode = Compiled.Checked then "checked" else "unchecked")
+      (run_compiled ~mode proc inputs);
+    if probed then
+      agree
+        (if mode = Compiled.Checked then "probed checked" else "probed unchecked")
+        (run_probed ~what ~mode proc inputs)
+  in
+  engines Compiled.Checked;
   match reference with
   | Failed _ -> ()
-  | Ran bi ->
-      (match mode with
-      | Compiled.Unchecked -> (
-          match run_compiled ~mode:Compiled.Unchecked proc inputs with
-          | Ran bu ->
-              if not (buffers_identical bu bi) then
-                Alcotest.failf "%s: unchecked run differs from interpreter"
-                  what
-          | Failed m -> Alcotest.failf "%s: unchecked run errored: %s" what m)
-      | _ -> ());
+  | Ran _ ->
+      if mode = Compiled.Unchecked then engines Compiled.Unchecked;
       (* The debug leg replays the whole run through the interpreter, so
          callers skip it where the reference is expensive. *)
-      if debug then
-        match run_compiled ~mode:Compiled.Debug proc inputs with
-        | Ran bd ->
-            if not (buffers_identical bd bi) then
-              Alcotest.failf "%s: debug run differs from interpreter" what
-        | Failed m ->
-            Alcotest.failf "%s: debug cross-check rejected a clean run: %s"
-              what m
+      if debug then agree "debug" (run_compiled ~mode:Compiled.Debug proc inputs)
 
 (* ------------------------------------------------------------------ *)
 (* Random loop-nest programs                                           *)
@@ -276,7 +429,8 @@ let options_of_bits bits =
 let random_array rand size =
   Array.init size (fun _ -> float_of_int (Random.State.int rand 129 - 64) /. 16.)
 
-let differential_of_result ?debug ~what rand (r : Cfd_core.Compile.result) =
+let differential_of_result ?debug ?probed ~what rand
+    (r : Cfd_core.Compile.result) =
   let proc = r.Cfd_core.Compile.proc in
   let inputs =
     List.filter_map
@@ -285,7 +439,7 @@ let differential_of_result ?debug ~what rand (r : Cfd_core.Compile.result) =
         else None)
       proc.Prog.params
   in
-  check_differential ?debug ~what proc inputs
+  check_differential ?debug ?probed ~what proc inputs
 
 let test_option_matrix () =
   let rand = Test_seed.rand () in
@@ -306,7 +460,8 @@ let test_option_matrix () =
    kernel runs the factorized baseline, every knob on top of it, the
    all-options point, and one unfactorized probe. Tree-walking the
    unfactorized 6-D contraction costs seconds per run, so the
-   interpreter-replay debug leg is limited to the factorized points. *)
+   interpreter-replay debug leg is limited to the factorized points, and
+   the probed leg, which logs every access, to the factorized baseline. *)
 let kernel_option_bits = [ 0x01; 0x3f; 0x03; 0x05; 0x09; 0x11; 0x21; 0x00 ]
 
 (* Under [dune runtest] the cwd is the test directory (the kernel
@@ -337,6 +492,7 @@ let test_kernel file () =
       | Error m -> Alcotest.failf "%s options=%02x: %s" file bits m
       | Ok r ->
           differential_of_result ~debug:(bits land 0x01 = 1)
+            ~probed:(bits = 0x01)
             ~what:(Printf.sprintf "%s options=%02x" file bits)
             rand r)
     kernel_option_bits
