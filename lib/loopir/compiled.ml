@@ -31,7 +31,11 @@
      in range, see [Analysis.Verify.execution_mode]) — loads and stores
      are unchecked array accesses; [Checked] keeps Interp-style dynamic
      checks; [Debug] additionally replays every run through [Interp] on
-     a copy of the frame and insists on bit-identical parameter buffers.
+     a copy of the frame and insists on bit-identical parameter buffers;
+   - a memory {!probe} is a compile-time leaf tap, not a second
+     compiler: a probed leaf's loads and stores are wrapped to report
+     each access, and its loop values are read from stride-1 cursors.
+     Without a probe no wrapper exists in the compiled program.
 
    All mutable execution state lives in the frame, never in the
    compiled closures, so one compiled program can drive any number of
@@ -59,9 +63,6 @@ type frame = {
   bufs : float array array;  (* array slot -> buffer *)
   scal : float array;  (* scalar slot -> value *)
   cur : int array;  (* access cursor -> current linear index *)
-  vars : int array;
-      (* loop-variable slot -> current iteration value; written only by
-         probe-instrumented loops, length 1 otherwise *)
 }
 
 (* --- memory probe ------------------------------------------------------ *)
@@ -84,9 +85,8 @@ type probe = {
 
 (* The one-branch disabled gate, mirroring [Obs.Trace]: with no provider
    installed (the default), [compile] takes a single [Atomic.get] and
-   produces exactly the closures it always produced — no instrumentation
-   exists in the compiled program, so execution is bit-identical and
-   records nothing. *)
+   compiles every leaf untapped — no instrumentation exists in the
+   compiled program, so execution is bit-identical and records nothing. *)
 let probe_provider : (Prog.proc -> probe option) option Atomic.t =
   Atomic.make None
 
@@ -107,7 +107,6 @@ type t = {
   ops : op array;
   stmts_per_run : int;  (* leaf statements executed by one run *)
   iters_per_run : int;  (* loop iterations executed by one run *)
-  n_vars : int;  (* loop-variable slots (probe-instrumented only) *)
   probed : bool;
 }
 
@@ -136,7 +135,6 @@ type state = {
   mutable st_nscal : int;
   mutable st_bases : int list;  (* reversed *)
   mutable st_ncur : int;
-  mutable st_nvars : int;  (* loop-variable slots, instrumented path only *)
   mutable st_nsites : int;  (* probe sites numbered so far (pre-order) *)
 }
 
@@ -180,78 +178,107 @@ let checked_get name arr i =
     errf "load %s[%d] out of bounds (size %d)" name i (Array.length arr);
   Array.unsafe_get arr i
 
-let rec compile_expr st env ~check (e : Prog.fexpr) : frame -> float =
+(* A leaf's share of a probe: [on_access] with the site applied. *)
+type tap = buffer:string -> index:int -> write:bool -> unit
+
+let rec compile_expr st env ~check ~(tap : tap option) (e : Prog.fexpr) :
+    frame -> float =
   match e with
   | Prog.Const f -> fun _ -> f
   | Prog.Scalar s ->
       let i = scalar_slot st s in
       fun fr -> Array.unsafe_get fr.scal i
-  | Prog.Load (a, ix) ->
+  | Prog.Load (a, ix) -> (
       let s = array_slot st a in
       let c = cursor st env ix in
-      if check then fun fr ->
-        checked_get a fr.bufs.(s) (Array.unsafe_get fr.cur c)
-      else fun fr ->
-        Array.unsafe_get
-          (Array.unsafe_get fr.bufs s)
-          (Array.unsafe_get fr.cur c)
+      match tap with
+      | Some tap ->
+          fun fr ->
+            let i = Array.unsafe_get fr.cur c in
+            tap ~buffer:a ~index:i ~write:false;
+            if check then checked_get a fr.bufs.(s) i
+            else Array.unsafe_get (Array.unsafe_get fr.bufs s) i
+      | None ->
+          if check then fun fr ->
+            checked_get a fr.bufs.(s) (Array.unsafe_get fr.cur c)
+          else fun fr ->
+            Array.unsafe_get
+              (Array.unsafe_get fr.bufs s)
+              (Array.unsafe_get fr.cur c))
   | Prog.Add (x, y) ->
-      let fx = compile_expr st env ~check x
-      and fy = compile_expr st env ~check y in
+      let fx = compile_expr st env ~check ~tap x
+      and fy = compile_expr st env ~check ~tap y in
       fun fr -> fx fr +. fy fr
   | Prog.Sub (x, y) ->
-      let fx = compile_expr st env ~check x
-      and fy = compile_expr st env ~check y in
+      let fx = compile_expr st env ~check ~tap x
+      and fy = compile_expr st env ~check ~tap y in
       fun fr -> fx fr -. fy fr
   | Prog.Mul (x, y) ->
-      let fx = compile_expr st env ~check x
-      and fy = compile_expr st env ~check y in
+      let fx = compile_expr st env ~check ~tap x
+      and fy = compile_expr st env ~check ~tap y in
       fun fr -> fx fr *. fy fr
   | Prog.Div (x, y) ->
-      let fx = compile_expr st env ~check x
-      and fy = compile_expr st env ~check y in
+      let fx = compile_expr st env ~check ~tap x
+      and fy = compile_expr st env ~check ~tap y in
       fun fr -> fx fr /. fy fr
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let compile_write st env ~check ~accumulate a ix value : op =
+let compile_write st env ~check ~tap ~accumulate a ix value : op =
   let s = array_slot st a in
   let c = cursor st env ix in
-  let value = compile_expr st env ~check value in
-  if check then
-    fun fr ->
-      let v = value fr in
-      let arr = fr.bufs.(s) in
-      let i = Array.unsafe_get fr.cur c in
-      if i < 0 || i >= Array.length arr then
-        errf "store %s[%d] out of bounds (size %d)" a i (Array.length arr);
-      Array.unsafe_set arr i
-        (if accumulate then Array.unsafe_get arr i +. v else v)
-  else if accumulate then fun fr ->
-    let arr = Array.unsafe_get fr.bufs s in
-    let i = Array.unsafe_get fr.cur c in
-    Array.unsafe_set arr i (Array.unsafe_get arr i +. value fr)
-  else fun fr ->
-    Array.unsafe_set
-      (Array.unsafe_get fr.bufs s)
-      (Array.unsafe_get fr.cur c) (value fr)
+  let value = compile_expr st env ~check ~tap value in
+  match tap with
+  | Some tap ->
+      fun fr ->
+        (* reads (inside [value]) first, then the write, reported before
+           the store's bounds check *)
+        let v = value fr in
+        let arr = fr.bufs.(s) in
+        let i = Array.unsafe_get fr.cur c in
+        tap ~buffer:a ~index:i ~write:true;
+        if check && (i < 0 || i >= Array.length arr) then
+          errf "store %s[%d] out of bounds (size %d)" a i (Array.length arr);
+        Array.unsafe_set arr i
+          (if accumulate then Array.unsafe_get arr i +. v else v)
+  | None when check ->
+      fun fr ->
+        let v = value fr in
+        let arr = fr.bufs.(s) in
+        let i = Array.unsafe_get fr.cur c in
+        if i < 0 || i >= Array.length arr then
+          errf "store %s[%d] out of bounds (size %d)" a i (Array.length arr);
+        Array.unsafe_set arr i
+          (if accumulate then Array.unsafe_get arr i +. v else v)
+  | None when accumulate ->
+      fun fr ->
+        let arr = Array.unsafe_get fr.bufs s in
+        let i = Array.unsafe_get fr.cur c in
+        Array.unsafe_set arr i (Array.unsafe_get arr i +. value fr)
+  | None ->
+      fun fr ->
+        Array.unsafe_set
+          (Array.unsafe_get fr.bufs s)
+          (Array.unsafe_get fr.cur c) (value fr)
 
-let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
+(* One leaf statement. The specialized shapes are the statements
+   scalarized tensor kernels spend their time in; they apply only
+   unchecked and untapped, so the dynamic checks and the probe's
+   reporting stay in the uniform closures. *)
+let compile_leaf st env ~check ~tap (stmt : Prog.stmt) : op =
+  let fast = (not check) && Option.is_none tap in
   match stmt with
-  | Prog.For l -> compile_loop st env ~check l
-  (* Specialized shapes (unchecked mode only; the checked path keeps the
-     uniform closures so the dynamic checks stay in one place). These are
-     the statements scalarized tensor kernels spend their time in. *)
-  | Prog.Store { array; index; value = Prog.Const k } when not check ->
+  | Prog.For _ -> assert false (* loops go through [compile_loop] *)
+  | Prog.Store { array; index; value = Prog.Const k } when fast ->
       let s = array_slot st array in
       let c = cursor st env index in
       fun fr ->
         Array.unsafe_set
           (Array.unsafe_get fr.bufs s)
           (Array.unsafe_get fr.cur c) k
-  | Prog.Store { array; index; value = Prog.Load (b, ixb) } when not check ->
+  | Prog.Store { array; index; value = Prog.Load (b, ixb) } when fast ->
       let sd = array_slot st array in
       let cd = cursor st env index in
       let sb = array_slot st b in
@@ -263,7 +290,7 @@ let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
           (Array.unsafe_get
              (Array.unsafe_get fr.bufs sb)
              (Array.unsafe_get fr.cur cb))
-  | Prog.Store { array; index; value = Prog.Scalar x } when not check ->
+  | Prog.Store { array; index; value = Prog.Scalar x } when fast ->
       let s = array_slot st array in
       let c = cursor st env index in
       let i = scalar_slot st x in
@@ -274,7 +301,7 @@ let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
           (Array.unsafe_get fr.scal i)
   | Prog.Accum
       { array; index; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) }
-    when not check ->
+    when fast ->
       (* contraction MAC: a[ia] += b[ib] * d[id] *)
       let sa = array_slot st array in
       let ca = cursor st env index in
@@ -296,7 +323,7 @@ let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
                   (Array.unsafe_get cur cd))
   | Prog.Acc_scalar
       { name; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) }
-    when not check ->
+    when fast ->
       (* scalar MAC: acc += b[ib] * d[id] (scalarized reductions) *)
       let i = scalar_slot st name in
       let sb = array_slot st b in
@@ -313,23 +340,57 @@ let rec compile_stmt st env ~check (stmt : Prog.stmt) : op =
                   (Array.unsafe_get fr.bufs sd)
                   (Array.unsafe_get fr.cur cd))
   | Prog.Store { array; index; value } ->
-      compile_write st env ~check ~accumulate:false array index value
+      compile_write st env ~check ~tap ~accumulate:false array index value
   | Prog.Accum { array; index; value } ->
-      compile_write st env ~check ~accumulate:true array index value
+      compile_write st env ~check ~tap ~accumulate:true array index value
   | Prog.Set_scalar { name; value } ->
-      let value = compile_expr st env ~check value in
+      let value = compile_expr st env ~check ~tap value in
       let i = scalar_slot st name in
       fun fr -> Array.unsafe_set fr.scal i (value fr)
   | Prog.Acc_scalar { name; value } ->
-      let value = compile_expr st env ~check value in
+      let value = compile_expr st env ~check ~tap value in
       let i = scalar_slot st name in
       fun fr ->
         Array.unsafe_set fr.scal i (Array.unsafe_get fr.scal i +. value fr)
 
-and compile_loop st env ~check (l : Prog.loop) : op =
+(* [vars] is the enclosing loop nest, outermost first. Under a probe a
+   leaf becomes a numbered site whose accesses are tapped, and whose
+   instance vector is read from one cursor per enclosing loop variable:
+   base 0, stride 1, so strength reduction keeps it equal to the
+   variable. *)
+let rec compile_stmt st env ~check ~probe ~vars (stmt : Prog.stmt) : op =
+  match (stmt, probe) with
+  | Prog.For l, _ -> compile_loop st env ~check ~probe ~vars l
+  | leaf, None -> compile_leaf st env ~check ~tap:None leaf
+  | leaf, Some probe ->
+      let site = st.st_nsites in
+      st.st_nsites <- site + 1;
+      probe.on_site ~site ~vars:(Array.of_list vars) ~stmt:leaf;
+      let loop_curs =
+        Array.of_list (List.map (fun v -> cursor st env (Ix.var v)) vars)
+      in
+      let body =
+        compile_leaf st env ~check ~tap:(Some (probe.on_access ~site)) leaf
+      in
+      fun fr ->
+        probe.on_instance ~site
+          ~values:(Array.map (fun c -> Array.unsafe_get fr.cur c) loop_curs);
+        body fr
+
+(* Left to right explicitly: site numbering follows textual order, and
+   [List.map]'s evaluation order is unspecified. *)
+and compile_body st env ~check ~probe ~vars body =
+  Array.of_list
+    (List.rev
+       (List.fold_left
+          (fun acc s -> compile_stmt st env ~check ~probe ~vars s :: acc)
+          [] body))
+
+and compile_loop st env ~check ~probe ~vars (l : Prog.loop) : op =
   let incs = ref [] in
   let body =
-    Array.of_list (List.map (compile_stmt st ((l.var, incs) :: env) ~check) l.body)
+    compile_body st ((l.var, incs) :: env) ~check ~probe ~vars:(vars @ [ l.var ])
+      l.body
   in
   let curs = Array.of_list (List.map fst !incs) in
   let strides = Array.of_list (List.map snd !incs) in
@@ -385,157 +446,6 @@ and compile_loop st env ~check (l : Prog.loop) : op =
     leave fr
 
 (* ------------------------------------------------------------------ *)
-(* Probe-instrumented compilation                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A separate generic path used only when a probe is installed: every
-   array access additionally reports (site, buffer, index, direction),
-   every leaf reports its instance vector, and loops keep their current
-   iteration value in the frame's [vars] slots so leaves can read it.
-   The hot-path specializations above are deliberately not duplicated
-   here — profiled runs pay for observation, unprofiled runs pay one
-   atomic load at compile time. *)
-
-let rec pcompile_expr st env ~check ~(probe : probe) ~site (e : Prog.fexpr) :
-    frame -> float =
-  match e with
-  | Prog.Const f -> fun _ -> f
-  | Prog.Scalar s ->
-      let i = scalar_slot st s in
-      fun fr -> Array.unsafe_get fr.scal i
-  | Prog.Load (a, ix) ->
-      let s = array_slot st a in
-      let c = cursor st env ix in
-      if check then fun fr ->
-        let i = Array.unsafe_get fr.cur c in
-        probe.on_access ~site ~buffer:a ~index:i ~write:false;
-        checked_get a fr.bufs.(s) i
-      else fun fr ->
-        let i = Array.unsafe_get fr.cur c in
-        probe.on_access ~site ~buffer:a ~index:i ~write:false;
-        Array.unsafe_get (Array.unsafe_get fr.bufs s) i
-  | Prog.Add (x, y) ->
-      let fx = pcompile_expr st env ~check ~probe ~site x
-      and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr -> fx fr +. fy fr
-  | Prog.Sub (x, y) ->
-      let fx = pcompile_expr st env ~check ~probe ~site x
-      and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr -> fx fr -. fy fr
-  | Prog.Mul (x, y) ->
-      let fx = pcompile_expr st env ~check ~probe ~site x
-      and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr -> fx fr *. fy fr
-  | Prog.Div (x, y) ->
-      let fx = pcompile_expr st env ~check ~probe ~site x
-      and fy = pcompile_expr st env ~check ~probe ~site y in
-      fun fr -> fx fr /. fy fr
-
-let pcompile_write st env ~check ~probe ~site ~accumulate a ix value : op =
-  let s = array_slot st a in
-  let c = cursor st env ix in
-  let value = pcompile_expr st env ~check ~probe ~site value in
-  fun fr ->
-    (* reads (inside [value]) first, then the write event, matching the
-       evaluation order of the unprobed closures *)
-    let v = value fr in
-    let arr = fr.bufs.(s) in
-    let i = Array.unsafe_get fr.cur c in
-    probe.on_access ~site ~buffer:a ~index:i ~write:true;
-    if check && (i < 0 || i >= Array.length arr) then
-      errf "store %s[%d] out of bounds (size %d)" a i (Array.length arr);
-    Array.unsafe_set arr i
-      (if accumulate then Array.unsafe_get arr i +. v else v)
-
-(* [vslots] is the enclosing loop nest, outermost first, as
-   (variable name, frame vars slot). *)
-let rec pcompile_stmt st env ~check ~probe ~vslots (stmt : Prog.stmt) : op =
-  match stmt with
-  | Prog.For l -> pcompile_loop st env ~check ~probe ~vslots l
-  | leaf ->
-      let site = st.st_nsites in
-      st.st_nsites <- site + 1;
-      probe.on_site ~site
-        ~vars:(Array.of_list (List.map fst vslots))
-        ~stmt:leaf;
-      let body =
-        match leaf with
-        | Prog.For _ -> assert false
-        | Prog.Store { array; index; value } ->
-            pcompile_write st env ~check ~probe ~site ~accumulate:false array
-              index value
-        | Prog.Accum { array; index; value } ->
-            pcompile_write st env ~check ~probe ~site ~accumulate:true array
-              index value
-        | Prog.Set_scalar { name; value } ->
-            let value = pcompile_expr st env ~check ~probe ~site value in
-            let i = scalar_slot st name in
-            fun fr -> Array.unsafe_set fr.scal i (value fr)
-        | Prog.Acc_scalar { name; value } ->
-            let value = pcompile_expr st env ~check ~probe ~site value in
-            let i = scalar_slot st name in
-            fun fr ->
-              Array.unsafe_set fr.scal i
-                (Array.unsafe_get fr.scal i +. value fr)
-      in
-      let slots = Array.of_list (List.map snd vslots) in
-      let nv = Array.length slots in
-      fun fr ->
-        let values = Array.init nv (fun j -> fr.vars.(slots.(j))) in
-        probe.on_instance ~site ~values;
-        body fr
-
-and pcompile_loop st env ~check ~probe ~vslots (l : Prog.loop) : op =
-  let vslot = st.st_nvars in
-  st.st_nvars <- vslot + 1;
-  let incs = ref [] in
-  let body =
-    (* left-to-right explicitly: site numbering must follow textual
-       order, and [List.map]'s evaluation order is unspecified *)
-    Array.of_list
-      (List.rev
-         (List.fold_left
-            (fun acc s ->
-              pcompile_stmt st
-                ((l.var, incs) :: env)
-                ~check ~probe
-                ~vslots:(vslots @ [ (l.var, vslot) ])
-                s
-              :: acc)
-            [] l.body))
-  in
-  let curs = Array.of_list (List.map fst !incs) in
-  let strides = Array.of_list (List.map snd !incs) in
-  let nb = Array.length body and nc = Array.length curs in
-  let lo = l.Prog.lo and hi = l.Prog.hi in
-  let exit_mult = if hi > lo then hi else lo in
-  fun fr ->
-    let cur = fr.cur in
-    if lo <> 0 then
-      for j = 0 to nc - 1 do
-        let c = Array.unsafe_get curs j in
-        Array.unsafe_set cur c
-          (Array.unsafe_get cur c + (Array.unsafe_get strides j * lo))
-      done;
-    for it = lo to hi - 1 do
-      fr.vars.(vslot) <- it;
-      for i = 0 to nb - 1 do
-        (Array.unsafe_get body i) fr
-      done;
-      for j = 0 to nc - 1 do
-        let c = Array.unsafe_get curs j in
-        Array.unsafe_set cur c
-          (Array.unsafe_get cur c + Array.unsafe_get strides j)
-      done
-    done;
-    if exit_mult <> 0 then
-      for j = 0 to nc - 1 do
-        let c = Array.unsafe_get curs j in
-        Array.unsafe_set cur c
-          (Array.unsafe_get cur c - (Array.unsafe_get strides j * exit_mult))
-      done
-
-(* ------------------------------------------------------------------ *)
 (* Program compilation                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -572,22 +482,11 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
       st_nscal = 0;
       st_bases = [];
       st_ncur = 0;
-      st_nvars = 0;
       st_nsites = 0;
     }
   in
   let check = mode <> Unchecked in
-  let ops =
-    match probe with
-    | None -> Array.of_list (List.map (compile_stmt st [] ~check) proc.Prog.body)
-    | Some probe ->
-        Array.of_list
-          (List.rev
-             (List.fold_left
-                (fun acc s ->
-                  pcompile_stmt st [] ~check ~probe ~vslots:[] s :: acc)
-                [] proc.Prog.body))
-  in
+  let ops = compile_body st [] ~check ~probe ~vars:[] proc.Prog.body in
   (match mode with
   | Checked -> Obs.Metrics.incr c_mode_checked
   | Unchecked -> Obs.Metrics.incr c_mode_unchecked
@@ -610,7 +509,6 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
     ops;
     stmts_per_run;
     iters_per_run;
-    n_vars = st.st_nvars;
     probed = Option.is_some probe;
   }
 
@@ -627,7 +525,6 @@ let make_frame t =
     bufs = Array.map (fun info -> Array.make info.a_size 0.0) t.arrays;
     scal = Array.make (max 1 t.n_scalars) 0.0;
     cur = Array.make (max 1 t.n_cursors) 0;
-    vars = Array.make (max 1 t.n_vars) 0;
   }
 
 let make_frames t count = Array.init count (fun _ -> make_frame t)

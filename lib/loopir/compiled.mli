@@ -58,7 +58,8 @@ type probe = {
   on_instance : site:int -> values:int array -> unit;
       (** Fired at run time before each dynamic execution of the leaf,
           with the current enclosing loop values (outermost first,
-          aligned with [on_site]'s [vars]). *)
+          aligned with [on_site]'s [vars]), read from stride-1 cursors
+          that track the loop variables. *)
   on_access : site:int -> buffer:string -> index:int -> write:bool -> unit;
       (** Fired once per array access of the instance: reads in
           evaluation order, then the write. An accumulate reports a
@@ -66,7 +67,10 @@ type probe = {
           Mnemosyne's static reads+writes port accounting. *)
 }
 (** A memory probe: observes every array access of a compiled program,
-    for the dynamic PLM profiler ([Memprof]). *)
+    for the dynamic PLM profiler ([Memprof]). It is a compile-time tap
+    on the leaves of the one compiler, not a separate engine: the loops,
+    cursors and arithmetic a probed program runs are the unprobed
+    program's, with each leaf's loads and stores wrapped to report. *)
 
 val set_probe_provider : (Prog.proc -> probe option) option -> unit
 (** Install (or remove, with [None]) the process-global probe provider
@@ -79,9 +83,11 @@ val set_probe_provider : (Prog.proc -> probe option) option -> unit
 val compile : ?mode:mode -> ?probe:probe -> Prog.proc -> t
 (** One-time slot resolution, stride decomposition and closure
     generation. Default mode is [Checked]. When [probe] is given — or a
-    {!set_probe_provider} provider returns one — compilation takes the
-    instrumented path: generic (non-specialized) closures that report
-    every access to the probe; numeric results are unchanged.
+    {!set_probe_provider} provider returns one — every leaf statement is
+    compiled tapped: its uniform (non-specialized) closure reports each
+    access to the probe, and an instance reports the enclosing loop
+    values read from stride-1 cursors; numeric results are unchanged.
+    Without a probe the compiled closures carry no tap at all.
     @raise Error on duplicate or undeclared arrays, or an index using a
     loop variable not bound by an enclosing loop. *)
 
