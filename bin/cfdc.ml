@@ -424,13 +424,11 @@ let do_explore file elements jobs stats cache_dir oo =
   obs_setup oo;
   let src = read_file file in
   let ast =
-    match Cfdlang.Parser.parse src with
-    | ast -> ast
-    | exception Cfdlang.Parser.Error (pos, msg) ->
-        prerr_endline
-          (Printf.sprintf "cfdc: parse error at %d:%d: %s" pos.Cfdlang.Lexer.line
-             pos.Cfdlang.Lexer.col msg);
-        fatal ("parse error: " ^ msg)
+    match Cfdlang.Check.parse_and_check src with
+    | Ok c -> c.Cfdlang.Check.program
+    | Error { Cfdlang.Check.message } ->
+        prerr_endline ("cfdc: " ^ message);
+        fatal ("front end: " ^ message)
   in
   let jobs = if jobs <= 0 then Cfd_core.Pool.default_jobs () else jobs in
   let outcomes =

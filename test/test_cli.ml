@@ -1,8 +1,8 @@
 (* Black-box tests of the cfdc command line: the profile and memprof
    subcommands exit 0 on a good kernel and write well-formed JSON
    artifacts; bad flags and missing files exit non-zero; out-of-range
-   shapes exit 1 with a one-line cfdc: error. Runs the real binary as a
-   subprocess, like CI does. *)
+   shapes and kernels the front end rejects exit 1 with a one-line
+   cfdc: error. Runs the real binary as a subprocess, like CI does. *)
 
 let cfdc () =
   if Sys.file_exists "../bin/cfdc.exe" then "../bin/cfdc.exe"
@@ -434,6 +434,34 @@ let rejects_shape args () =
 
 let timeline = [ "timeline"; kernel "inverse_helmholtz.cfd" ]
 
+(* A kernel the front end rejects is a one-line user error for
+   [cfdc explore] too: exit 1 with the checker's [cfdc:] message, never
+   an uncaught exception or a sweep of infeasible configurations. *)
+let explore_rejects ~source ~message () =
+  let file = tmp ".cfd" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc source);
+      let code, text = run_capture [ "explore"; file; "--jobs"; "1" ] in
+      Alcotest.(check int) "exits 1" 1 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "prints %S (%S)" message text)
+        true
+        (contains ~sub:("cfdc: " ^ message) text);
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "no %S in the output" needle)
+            false (contains ~sub:needle text))
+        [ "Fatal error"; "infeasible" ])
+
+let bad_token_kernel =
+  "var input u : [3 3 3]\nvar output w : [3 3 3]\nw = u $ u\n"
+
+let zero_extent_kernel =
+  "var input u : [0 3 3]\nvar output w : [0 3 3]\nw = u * u\n"
+
 let () =
   Alcotest.run "cfdc-cli"
     [
@@ -457,6 +485,12 @@ let () =
             (rejects_shape (timeline @ [ "--elements=-5" ]));
           Alcotest.test_case "timeline -k 0 is a cfdc: error" `Quick
             (rejects_shape (timeline @ [ "-k"; "0" ]));
+          Alcotest.test_case "explore on a bad token is a cfdc: error" `Quick
+            (explore_rejects ~source:bad_token_kernel ~message:"lexical error");
+          Alcotest.test_case "explore on a zero extent is a cfdc: error"
+            `Quick
+            (explore_rejects ~source:zero_extent_kernel
+               ~message:"tensor u has a non-positive extent");
         ] );
       ( "cache",
         [
