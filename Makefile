@@ -114,7 +114,9 @@ profile: build
 # observed live intervals against the static model. cfdc memprof exits
 # non-zero on any memprof-* diagnostic, so a kernel whose dynamic
 # behaviour escapes its licensed architecture fails the build. The JSON
-# profiles and counter traces are kept as artifacts.
+# profiles and counter traces are kept as artifacts. Then the recorder
+# overhead benchmark (disabled vs enabled on p=11 Inverse Helmholtz),
+# which writes BENCH_memprof.json.
 memprof: build
 	@mkdir -p memprof-out
 	@for k in kernels/*.cfd; do \
@@ -126,6 +128,7 @@ memprof: build
 	    --trace "memprof-out/$$name.trace.json" || exit 1; \
 	done
 	@echo "memprof: all kernels audited clean"
+	$(DUNE) exec --no-build bench/main.exe -- memprof --no-trace
 
 # Device-cycle timeline of every kernel (docs/OBSERVABILITY.md): trace
 # both the plain and double-buffered legs on the modeled cycle clock,
