@@ -161,3 +161,4 @@ ci: build test lint profile memprof timeline exec cache history
 clean:
 	$(DUNE) clean
 	rm -rf bench-out cost-out memprof-out timeline-out crash-reports .cfdc-cache
+	rm -f profile_trace.json profile_metrics.json

@@ -23,42 +23,28 @@ let rec mkdir_p dir =
     Sys.mkdir dir 0o755
   end
 
-let options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise ~ii ~unroll =
-  {
-    Cfd_core.Compile.kernel_name = name;
-    factorize;
-    fuse_pointwise;
-    decoupled;
-    sharing;
-    pipeline_ii = (if ii <= 0 then None else Some ii);
-    unroll;
-    static_check = false;
-  }
-
-let print_front_warnings ~name r =
-  List.iter
-    (fun w ->
-      Format.eprintf "%a@." Analysis.Diagnostic.pp
-        (Analysis.Diagnostic.warning ~rule:"front-unused" ~subject:name w))
-    (Cfdlang.Check.warnings r.Cfd_core.Compile.checked)
-
 (* Fatal exit: when the flight recorder is on, a fatal diagnostic dumps
    the post-mortem bundle (recent spans and log events, metrics, cache
    stats, provenance) before the process dies, same as an uncaught
    exception at the top level. *)
-let fatal ?(code = 1) reason =
+let fatal reason =
   (if Obs.Flight.enabled () then
      match Obs.Flight.write_crash ~reason () with
      | Some path -> Printf.eprintf "cfdc: crash report: %s\n%!" path
      | None -> ());
-  exit code
+  exit 1
 
-let compile_result ?cache src options =
-  match Cfd_core.Compile.compile_source ?cache ~options src with
-  | Ok r -> r
-  | Error msg ->
-      prerr_endline ("cfdc: " ^ msg);
-      fatal ("compile failed: " ^ msg)
+(* ---- the input boundary ---- *)
+
+(* Range checks on user-supplied counts. Each subcommand runs them
+   before it opens a sink or compiles anything, so a bad count ends in
+   one cfdc: line, exit 1 and an empty stdout. *)
+let at_least ?(min = 1) flag n =
+  if n < min then begin
+    let msg = Printf.sprintf "--%s must be at least %d, got %d" flag min n in
+    prerr_endline ("cfdc: " ^ msg);
+    fatal msg
+  end
 
 (* ---- artifact cache (shared by the subcommands) ---- *)
 
@@ -98,21 +84,21 @@ let cache_stats_json store =
     ]
 
 (* --cache-dir beats CFDC_CACHE_DIR beats no cache. *)
+let cache_dir dir_flag =
+  match dir_flag with
+  | Some d -> Some d
+  | None -> (
+      match Sys.getenv_opt "CFDC_CACHE_DIR" with
+      | Some "" | None -> None
+      | Some d -> Some d)
+
 let cache_of dir_flag =
-  let dir =
-    match dir_flag with
-    | Some d -> Some d
-    | None -> (
-        match Sys.getenv_opt "CFDC_CACHE_DIR" with
-        | Some "" | None -> None
-        | Some d -> Some d)
-  in
   Option.map
     (fun dir ->
       let store = Cache.Store.create ~dir () in
       Obs.Flight.add_section "cache" (fun () -> cache_stats_json store);
       store)
-    dir
+    (cache_dir dir_flag)
 
 (* ---- observability sinks (shared by the subcommands) ---- *)
 
@@ -161,13 +147,26 @@ type obs_opts = {
   oo_flight : bool;
 }
 
-let obs_opts_term =
-  let mk oo_trace oo_metrics oo_summary oo_log oo_log_level oo_flight =
-    { oo_trace; oo_metrics; oo_summary; oo_log; oo_log_level; oo_flight }
+(* The log and flight sinks alone, for subcommands whose own --trace
+   writes a different document. *)
+let log_opts_term =
+  let mk oo_log oo_log_level oo_flight =
+    {
+      oo_trace = None;
+      oo_metrics = None;
+      oo_summary = false;
+      oo_log;
+      oo_log_level;
+      oo_flight;
+    }
   in
-  Term.(
-    const mk $ trace_arg $ metrics_arg $ summary_arg $ log_arg $ log_level_arg
-    $ flight_arg)
+  Term.(const mk $ log_arg $ log_level_arg $ flight_arg)
+
+let obs_opts_term =
+  let mk oo_trace oo_metrics oo_summary oo =
+    { oo with oo_trace; oo_metrics; oo_summary }
+  in
+  Term.(const mk $ trace_arg $ metrics_arg $ summary_arg $ log_opts_term)
 
 (* The sinks run via [at_exit] so the files are written even when a
    subcommand exits non-zero (check failures, infeasible systems). *)
@@ -193,44 +192,10 @@ let obs_setup ?(force_summary = false) oo =
         | None -> ());
         if summary then Format.printf "%a@?" Obs.Export.pp_summary ())
 
-(* ---- compile command ---- *)
-
-let do_compile file out_dir name factorize decoupled sharing fuse_pointwise ii
-    unroll verify cache_dir oo =
-  obs_setup oo;
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise ~ii ~unroll
-  in
-  let r = compile_result ?cache:(cache_of cache_dir) src options in
-  print_front_warnings ~name r;
-  (match out_dir with
-  | None -> print_string r.Cfd_core.Compile.c_source
-  | Some dir ->
-      mkdir_p dir;
-      write_file (Filename.concat dir (name ^ ".c")) r.Cfd_core.Compile.c_source;
-      write_file
-        (Filename.concat dir (name ^ ".mnemosyne"))
-        r.Cfd_core.Compile.mnemosyne_metadata;
-      write_file
-        (Filename.concat dir (name ^ ".plm"))
-        (Format.asprintf "%a"
-           Mnemosyne.Memgen.pp_architecture r.Cfd_core.Compile.memory);
-      Printf.printf "wrote %s/{%s.c, %s.mnemosyne, %s.plm}\n" dir name name name);
-  if verify then
-    if Cfd_core.Compile.verify r then print_endline "verify: OK"
-    else begin
-      print_endline "verify: FAILED";
-      exit 1
-    end;
-  Format.printf "%a@." Hls.Model.pp_report r.Cfd_core.Compile.hls
+(* ---- the kernel every flow subcommand compiles ---- *)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"CFDlang source file")
-
-let out_dir_arg =
-  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"DIR"
-         ~doc:"Output directory for generated artifacts (default: print C to stdout)")
 
 let name_arg =
   Arg.(value & opt string "kernel" & info [ "name" ] ~doc:"Kernel name")
@@ -253,6 +218,103 @@ let ii_arg =
 let unroll_arg =
   Arg.(value & opt (some int) None & info [ "unroll" ] ~doc:"Unroll factor for innermost loops")
 
+type kernel = { file : string; options : Cfd_core.Compile.options }
+
+(* FILE --name --factorize --decoupled --sharing, over the paper's
+   evaluated configuration for everything else. *)
+let kernel_term =
+  let mk file kernel_name factorize decoupled sharing =
+    {
+      file;
+      options =
+        {
+          Cfd_core.Compile.default_options with
+          kernel_name;
+          factorize;
+          decoupled;
+          sharing;
+        };
+    }
+  in
+  Term.(
+    const mk $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
+    $ sharing_arg)
+
+(* The code-generation knobs on top, for compile, check and cost. *)
+let tuned_kernel_term =
+  let tune k fuse_pointwise ii unroll =
+    {
+      k with
+      options =
+        {
+          k.options with
+          fuse_pointwise;
+          pipeline_ii = (if ii <= 0 then None else Some ii);
+          unroll;
+        };
+    }
+  in
+  Term.(const tune $ kernel_term $ fuse_pointwise_arg $ ii_arg $ unroll_arg)
+
+(* Compile the kernel — after [obs_setup], so the stages are traced —
+   and print the front end's warnings on stderr. *)
+let load ?cache k =
+  match
+    Cfd_core.Compile.compile_source ?cache ~options:k.options
+      (read_file k.file)
+  with
+  | Error msg ->
+      prerr_endline ("cfdc: " ^ msg);
+      fatal ("compile failed: " ^ msg)
+  | Ok r ->
+      List.iter
+        (fun w ->
+          Format.eprintf "%a@." Analysis.Diagnostic.pp
+            (Analysis.Diagnostic.warning ~rule:"front-unused"
+               ~subject:k.options.Cfd_core.Compile.kernel_name w))
+        (Cfdlang.Check.warnings r.Cfd_core.Compile.checked);
+      r
+
+let system_of ?k ?m ~elements r =
+  let sys =
+    Cfd_core.Compile.build_system ?force_k:k ?force_m:m ~n_elements:elements r
+  in
+  Sysgen.System.validate sys;
+  sys
+
+let board = Sysgen.Replicate.default_config.Sysgen.Replicate.board
+
+(* ---- compile command ---- *)
+
+let do_compile kernel out_dir verify cache_dir oo =
+  obs_setup oo;
+  let r = load ?cache:(cache_of cache_dir) kernel in
+  let name = kernel.options.Cfd_core.Compile.kernel_name in
+  (match out_dir with
+  | None -> print_string r.Cfd_core.Compile.c_source
+  | Some dir ->
+      mkdir_p dir;
+      write_file (Filename.concat dir (name ^ ".c")) r.Cfd_core.Compile.c_source;
+      write_file
+        (Filename.concat dir (name ^ ".mnemosyne"))
+        r.Cfd_core.Compile.mnemosyne_metadata;
+      write_file
+        (Filename.concat dir (name ^ ".plm"))
+        (Format.asprintf "%a"
+           Mnemosyne.Memgen.pp_architecture r.Cfd_core.Compile.memory);
+      Printf.printf "wrote %s/{%s.c, %s.mnemosyne, %s.plm}\n" dir name name name);
+  if verify then
+    if Cfd_core.Compile.verify r then print_endline "verify: OK"
+    else begin
+      print_endline "verify: FAILED";
+      exit 1
+    end;
+  Format.printf "%a@." Hls.Model.pp_report r.Cfd_core.Compile.hls
+
+let out_dir_arg =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"DIR"
+         ~doc:"Output directory for generated artifacts (default: print C to stdout)")
+
 let verify_arg =
   Arg.(value & flag & info [ "verify" ] ~doc:"Execute the generated kernel against the DSL semantics")
 
@@ -260,21 +322,15 @@ let compile_cmd =
   let doc = "compile a CFDlang kernel to HLS-ready C99 + memory metadata" in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(
-      const do_compile $ file_arg $ out_dir_arg $ name_arg $ factorize_arg
-      $ decoupled_arg $ sharing_arg $ fuse_pointwise_arg $ ii_arg $ unroll_arg
-      $ verify_arg $ cache_dir_arg $ obs_opts_term)
+      const do_compile $ tuned_kernel_term $ out_dir_arg $ verify_arg
+      $ cache_dir_arg $ obs_opts_term)
 
 (* ---- check command ---- *)
 
-let do_check file name factorize decoupled sharing fuse_pointwise ii unroll
-    fail_on_warning stats cache_dir oo =
+let do_check kernel fail_on_warning stats cache_dir oo =
   obs_setup oo;
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise ~ii ~unroll
-  in
   let cache = cache_of cache_dir in
-  let r = compile_result ?cache src options in
+  let r = load ?cache kernel in
   let diags = Cfd_core.Compile.check ?cache r in
   List.iter (fun d -> Format.printf "%a@." Analysis.Diagnostic.pp d) diags;
   if stats then Format.printf "%a" Obs.Export.pp_metrics ();
@@ -299,19 +355,13 @@ let check_cmd =
              use-before-def (see docs/ANALYSIS.md)" in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const do_check $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg $ fuse_pointwise_arg $ ii_arg $ unroll_arg
-      $ fail_on_warning_arg $ check_stats_arg $ cache_dir_arg $ obs_opts_term)
+      const do_check $ tuned_kernel_term $ fail_on_warning_arg
+      $ check_stats_arg $ cache_dir_arg $ obs_opts_term)
 
 (* ---- report command ---- *)
 
-let do_report file name factorize decoupled sharing =
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise:false ~ii:1
-      ~unroll:None
-  in
-  let r = compile_result src options in
+let do_report kernel =
+  let r = load kernel in
   (match Cfdlang.Check.warnings r.Cfd_core.Compile.checked with
   | [] -> ()
   | ws -> List.iter (fun w -> Format.printf "warning: %s@." w) ws);
@@ -326,35 +376,19 @@ let do_report file name factorize decoupled sharing =
 
 let report_cmd =
   let doc = "print the analysis artifacts (IR, liveness, compatibility, PLM, HLS)" in
-  Cmd.v (Cmd.info "report" ~doc)
-    Term.(
-      const do_report $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg)
+  Cmd.v (Cmd.info "report" ~doc) Term.(const do_report $ kernel_term)
 
 (* ---- system command ---- *)
 
-let do_system file name factorize decoupled sharing elements k m oo =
+let do_system kernel elements k m oo =
+  at_least "elements" elements;
   obs_setup oo;
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise:false ~ii:1
-      ~unroll:None
-  in
-  let r = compile_result src options in
-  match
-    Cfd_core.Compile.build_system ?force_k:k ?force_m:m ~n_elements:elements r
-  with
-  | sys ->
-      Sysgen.System.validate sys;
-      Format.printf "%a@." Sysgen.System.pp sys;
-      let board = Sysgen.Replicate.default_config.Sysgen.Replicate.board in
-      let hw = Sim.Perf.run_hw ~system:sys ~board in
-      Format.printf "performance: %a@." Sim.Perf.pp_hw hw;
-      Format.printf "bottleneck: %a@." Sim.Bottleneck.pp
-        (Sim.Bottleneck.analyze ~system:sys ~board ())
-  | exception Sysgen.Replicate.Infeasible msg ->
-      prerr_endline ("cfdc: infeasible: " ^ msg);
-      fatal ("infeasible: " ^ msg)
+  let sys = system_of ?k ?m ~elements (load kernel) in
+  Format.printf "%a@." Sysgen.System.pp sys;
+  let hw = Sim.Perf.run_hw ~system:sys ~board in
+  Format.printf "performance: %a@." Sim.Perf.pp_hw hw;
+  Format.printf "bottleneck: %a@." Sim.Bottleneck.pp
+    (Sim.Bottleneck.analyze ~system:sys ~board ())
 
 let elements_arg =
   Arg.(value & opt int 50000 & info [ "elements" ] ~doc:"Number of CFD elements to simulate")
@@ -366,45 +400,22 @@ let system_cmd =
   let doc = "solve Equation (3), build the system description, and estimate performance" in
   Cmd.v (Cmd.info "system" ~doc)
     Term.(
-      const do_system $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg $ elements_arg $ k_arg $ m_arg $ obs_opts_term)
+      const do_system $ kernel_term $ elements_arg $ k_arg $ m_arg
+      $ obs_opts_term)
 
 (* ---- emit command: system artifacts ---- *)
 
-let do_emit file out_dir name factorize decoupled sharing elements k m =
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise:false ~ii:1
-      ~unroll:None
-  in
-  let r = compile_result src options in
-  match
-    Cfd_core.Compile.build_system ?force_k:k ?force_m:m ~n_elements:elements r
-  with
-  | exception Sysgen.Replicate.Infeasible msg ->
-      prerr_endline ("cfdc: infeasible: " ^ msg);
-      fatal ("infeasible: " ^ msg)
-  | sys ->
-      Sysgen.System.validate sys;
-      mkdir_p out_dir;
-      let out suffix contents =
-        write_file (Filename.concat out_dir (name ^ suffix)) contents
-      in
-      out ".c" r.Cfd_core.Compile.c_source;
-      out ".mnemosyne" r.Cfd_core.Compile.mnemosyne_metadata;
-      out "_host.c" (Sysgen.Host_emit.c_host_source ~kernel_name:name sys);
-      out "_host.h" (Sysgen.Host_emit.c_header ~kernel_name:name sys);
-      out "_ctrl.v"
-        (Sysgen.Hdl_emit.controller_verilog
-           ~k:sys.Sysgen.System.solution.Sysgen.Replicate.k
-           ~batch:sys.Sysgen.System.solution.Sysgen.Replicate.batch);
-      out "_system.v" (Sysgen.Hdl_emit.top_verilog ~kernel_name:name sys);
-      out "_plm.v" (Mnemosyne.Plm_emit.verilog r.Cfd_core.Compile.memory);
-      out "_accel.hpp" (Sysgen.Bindings_emit.cpp_header ~kernel_name:name sys);
-      out "_accel.f90" (Sysgen.Bindings_emit.fortran_module ~kernel_name:name sys);
-      Printf.printf
-        "wrote %s/%s{.c,.mnemosyne,_host.c,_host.h,_ctrl.v,_system.v,_plm.v,_accel.hpp,_accel.f90}\n"
-        out_dir name
+let do_emit kernel out_dir elements k m =
+  at_least "elements" elements;
+  let r = load kernel in
+  let sys = system_of ?k ?m ~elements r in
+  mkdir_p out_dir;
+  List.iter
+    (fun (file, contents) -> write_file (Filename.concat out_dir file) contents)
+    (Cfd_core.Compile.emit_all r sys);
+  Printf.printf
+    "wrote %s/%s{.c,.mnemosyne,_host.c,_host.h,_ctrl.v,_system.v,_plm.v,_accel.hpp,_accel.f90}\n"
+    out_dir kernel.options.Cfd_core.Compile.kernel_name
 
 let emit_out_dir_arg =
   Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"DIR"
@@ -415,12 +426,13 @@ let emit_cmd =
              driver, controller and top-level Verilog, Fortran/C++ handles" in
   Cmd.v (Cmd.info "emit" ~doc)
     Term.(
-      const do_emit $ file_arg $ emit_out_dir_arg $ name_arg $ factorize_arg
-      $ decoupled_arg $ sharing_arg $ elements_arg $ k_arg $ m_arg)
+      const do_emit $ kernel_term $ emit_out_dir_arg $ elements_arg $ k_arg
+      $ m_arg)
 
 (* ---- explore command ---- *)
 
 let do_explore file elements jobs stats cache_dir oo =
+  at_least "elements" elements;
   obs_setup oo;
   let src = read_file file in
   let ast =
@@ -482,91 +494,36 @@ let strategy_arg =
 
 (* ---- memprof command ---- *)
 
-(* Deterministic synthetic inputs for the simulation leg: affine kernels
-   have data-independent access patterns, so any finite values do. *)
-let synthetic_inputs sys =
-  let shapes =
-    List.map
-      (fun (tr : Sysgen.System.transfer) ->
-        (tr.Sysgen.System.array, tr.Sysgen.System.bytes / 8))
-      sys.Sysgen.System.host.Sysgen.System.per_element_in
-  in
-  fun e ->
-    List.map
-      (fun (nm, words) ->
-        ( nm,
-          Array.init words (fun i ->
-              float_of_int ((((e + 1) * 31) + i) mod 97) /. 97.) ))
-      shapes
-
-(* Run the functional simulator with the PLM access recorder on and
-   return (elements, snapshot); [None] when no feasible system exists
-   (the audits do not need one). *)
-let recorded_sim_leg r ~strategy ~elements ~sim_n =
-  match Cfd_core.Compile.build_system ~n_elements:elements r with
-  | exception Sysgen.Replicate.Infeasible msg ->
-      Format.eprintf "cfdc: memprof: skipping simulation leg (infeasible: %s)@."
-        msg;
-      None
-  | sys ->
-      Sysgen.System.validate sys;
-      Memprof.Record.enable ();
-      Fun.protect
-        ~finally:(fun () -> Memprof.Record.disable ())
-        (fun () ->
-          match
-            Sim.Functional.run ~strategy ~system:sys
-              ~proc:r.Cfd_core.Compile.proc ~inputs:(synthetic_inputs sys)
-              ~n:sim_n ()
-          with
-          | _ -> Some (sim_n, Memprof.Record.snapshot ())
-          | exception Sim.Functional.Error msg ->
-              (* Notably: the audit rejects the sharded strategy here —
-                 Kelly timestamps are only reconstructable from the
-                 round-scheduled order. *)
-              prerr_endline ("cfdc: functional simulation failed: " ^ msg);
-              fatal ("functional simulation failed: " ^ msg))
-
-(* Audit both memgen modes under the compile options actually in force. *)
+(* The dynamic audit in both memgen modes, under the compile options
+   actually in force. *)
 let run_audits r =
-  let program = r.Cfd_core.Compile.program
-  and schedule = r.Cfd_core.Compile.schedule in
-  let scope =
-    if r.Cfd_core.Compile.opts.Cfd_core.Compile.decoupled then
-      Mnemosyne.Memgen.All
-    else Mnemosyne.Memgen.Interface_only
-  in
-  let unroll =
-    Option.value r.Cfd_core.Compile.opts.Cfd_core.Compile.unroll ~default:1
-  in
   List.map
-    (fun mode -> Memprof.Audit.run ~scope ~unroll ~mode program schedule)
+    (fun mode -> Cfd_core.Compile.audit ~mode r)
     [ Mnemosyne.Memgen.No_sharing; Mnemosyne.Memgen.Sharing ]
 
-let memprof_report r ~name ~strategy ~sim_n ~elements =
+let do_memprof kernel elements sim_n strategy json_out trace_out oo =
+  at_least "elements" elements;
+  at_least "sim-elements" sim_n;
+  obs_setup oo;
+  let r = load kernel in
   let audits = run_audits r in
-  let sim = recorded_sim_leg r ~strategy ~elements ~sim_n in
-  Memprof.Report.make ~kernel:name ?sim audits
-
-let do_memprof file name factorize decoupled sharing elements sim_n strategy
-    json_out trace_out log log_level flight =
-  obs_setup
-    {
-      oo_trace = None;
-      oo_metrics = None;
-      oo_summary = false;
-      oo_log = log;
-      oo_log_level = log_level;
-      oo_flight = flight;
-    };
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise:false ~ii:1
-      ~unroll:None
+  (* The audits do not need a system; without a feasible one the
+     recorded simulation leg is skipped. The sharded strategy fails in
+     the simulation: Kelly timestamps are only reconstructable from the
+     round-scheduled order. *)
+  let sim =
+    match system_of ~elements r with
+    | exception Sysgen.Replicate.Infeasible msg ->
+        Format.eprintf
+          "cfdc: memprof: skipping simulation leg (infeasible: %s)@." msg;
+        None
+    | system ->
+        Some (sim_n, Cfd_core.Costing.recorded ~strategy ~system ~sim_n r)
   in
-  let r = compile_result src options in
-  print_front_warnings ~name r;
-  let report = memprof_report r ~name ~strategy ~sim_n ~elements in
+  let report =
+    Memprof.Report.make ~kernel:kernel.options.Cfd_core.Compile.kernel_name
+      ?sim audits
+  in
   Format.printf "%a@?" Memprof.Report.pp report;
   (match json_out with
   | Some path ->
@@ -603,40 +560,17 @@ let memprof_cmd =
              licensed the architecture (both memgen modes)" in
   Cmd.v (Cmd.info "memprof" ~doc)
     Term.(
-      const do_memprof $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg $ elements_arg $ memprof_sim_elements_arg $ strategy_arg
-      $ memprof_json_arg $ memprof_trace_arg $ log_arg $ log_level_arg
-      $ flight_arg)
+      const do_memprof $ kernel_term $ elements_arg $ memprof_sim_elements_arg
+      $ strategy_arg $ memprof_json_arg $ memprof_trace_arg $ log_opts_term)
 
 (* ---- timeline command ---- *)
 
-let do_timeline file name factorize decoupled sharing elements k m overlap
-    trace_out json log log_level flight =
-  obs_setup
-    {
-      oo_trace = None;
-      oo_metrics = None;
-      oo_summary = false;
-      oo_log = log;
-      oo_log_level = log_level;
-      oo_flight = flight;
-    };
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise:false ~ii:1
-      ~unroll:None
-  in
-  let r = compile_result src options in
-  print_front_warnings ~name r;
+let do_timeline kernel elements k m overlap trace_out json oo =
+  at_least "elements" elements;
+  obs_setup oo;
   let report =
-    match
-      Cfd_core.Timeline.analyze ?force_k:k ?force_m:m ~overlap
-        ~n_elements:elements r
-    with
-    | report -> report
-    | exception Sysgen.Replicate.Infeasible msg ->
-        prerr_endline ("cfdc: infeasible: " ^ msg);
-        fatal ("infeasible: " ^ msg)
+    Cfd_core.Timeline.analyze ?force_k:k ?force_m:m ~overlap
+      ~n_elements:elements (load kernel)
   in
   (match trace_out with
   | Some path ->
@@ -696,112 +630,80 @@ let timeline_cmd =
              mismatch is a timeline-drift error)" in
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(
-      const do_timeline $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg $ timeline_elements_arg $ k_arg $ m_arg
+      const do_timeline $ kernel_term $ timeline_elements_arg $ k_arg $ m_arg
       $ overlap_policy_arg $ timeline_trace_arg $ timeline_json_flag
-      $ log_arg $ log_level_arg $ flight_arg)
+      $ log_opts_term)
 
 (* ---- profile command ---- *)
 
-let do_profile file name factorize decoupled sharing elements sim_n jobs
-    strategy timeline_out oo =
+let do_profile kernel elements sim_n jobs strategy timeline_out oo =
+  at_least "elements" elements;
+  at_least "sim-elements" sim_n;
   (* Tracing is always on for a profile run; the human summary prints
      unless the caller asked only for file sinks. *)
   obs_setup ~force_summary:(oo.oo_trace = None && oo.oo_metrics = None) oo;
   Obs.Trace.set_enabled true;
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise:false ~ii:1
-      ~unroll:None
-  in
-  let r = compile_result src options in
+  let r = load kernel in
+  let name = kernel.options.Cfd_core.Compile.kernel_name in
   let diags =
     Obs.Trace.with_span "check" (fun () -> Cfd_core.Compile.check r)
   in
-  (match
-     Cfd_core.Compile.build_system ~n_elements:elements r
-   with
-  | exception Sysgen.Replicate.Infeasible msg ->
-      prerr_endline ("cfdc: infeasible: " ^ msg);
-      fatal ("infeasible: " ^ msg)
-  | sys ->
-      Sysgen.System.validate sys;
-      let board = Sysgen.Replicate.default_config.Sysgen.Replicate.board in
-      let hw = Sim.Perf.run_hw ~system:sys ~board in
-      (* Functional simulation of a small batch with deterministic
-         synthetic inputs: enough to light up the engine, pool and DMA
-         counters without replaying the full element count. *)
-      let shapes =
-        List.map
-          (fun (tr : Sysgen.System.transfer) ->
-            (tr.Sysgen.System.array, tr.Sysgen.System.bytes / 8))
-          sys.Sysgen.System.host.Sysgen.System.per_element_in
-      in
-      let inputs e =
-        List.map
-          (fun (nm, words) ->
-            ( nm,
-              Array.init words (fun i ->
-                  float_of_int ((((e + 1) * 31) + i) mod 97) /. 97.) ))
-          shapes
-      in
-      let jobs = if jobs <= 0 then None else Some jobs in
-      (* Under the round-scheduled strategy the simulation leg doubles as
-         the memprof recorder run: engines compiled while the recorder is
-         enabled report PLM accesses and DMA volumes into the
-         production-path store. The sharded strategy has no Kelly-
-         reconstructable schedule, so its run is timed/traced only and
-         the memory report falls back to the static-vs-dynamic audits. *)
-      let record = strategy = Sim.Functional.Round_scheduled in
-      if record then Memprof.Record.enable ();
-      (match
-         Fun.protect
-           ~finally:(fun () -> if record then Memprof.Record.disable ())
-           (fun () ->
-             Sim.Functional.run ?jobs ~strategy ~system:sys
-               ~proc:r.Cfd_core.Compile.proc ~inputs ~n:sim_n ())
-       with
-      | _ -> ()
-      | exception Sim.Functional.Error msg ->
-          prerr_endline ("cfdc: functional simulation failed: " ^ msg);
-          fatal ("functional simulation failed: " ^ msg));
-      let mreport =
-        if record then
-          Memprof.Report.make ~kernel:name
-            ~sim:(sim_n, Memprof.Record.snapshot ())
-            (run_audits r)
-        else Memprof.Report.make ~kernel:name (run_audits r)
-      in
-      Format.printf "kernel: %s (%s)@." name file;
-      Format.printf "%a@." Hls.Model.pp_report r.Cfd_core.Compile.hls;
-      (if diags = [] then Format.printf "check: OK@."
-       else Format.printf "check: %s@." (Analysis.Diagnostic.summary diags));
-      Format.printf "performance (%d elements): %a@." elements Sim.Perf.pp_hw hw;
-      Format.printf "functional simulation: %d elements OK (%s strategy)@."
-        sim_n
-        (Sim.Functional.strategy_name strategy);
-      if not record then
-        Format.printf
-          "memprof: PLM recording skipped (sharded strategy has no \
-           Kelly-reconstructable schedule; rerun with --strategy round)@.";
-      Format.printf "%a@?" Memprof.Report.pp mreport;
-      if not (Memprof.Report.passed mreport) then fatal "memprof audit failed";
-      (* Device-cycle timeline leg: the memprof join follows the same
-         strategy gate as the recorder run — only the round-scheduled
-         strategy has Kelly-reconstructable port-pressure series worth
-         joining onto the cycle clock. *)
-      let treport =
-        Cfd_core.Timeline.analyze ~join_memprof:record ~n_elements:elements r
-      in
-      Format.printf "%a@?" Cfd_core.Timeline.pp_report treport;
-      (match timeline_out with
-      | Some path ->
-          write_file path
-            (Obs.Json.to_string (Cfd_core.Timeline.chrome_trace treport));
-          Printf.printf "wrote %s\n" path
-      | None -> ());
-      if not (Cfd_core.Timeline.passed treport) then
-        fatal "timeline reconciliation failed")
+  let sys = system_of ~elements r in
+  let hw = Sim.Perf.run_hw ~system:sys ~board in
+  (* Functional simulation of a small batch with deterministic synthetic
+     inputs: enough to light up the engine, pool and DMA counters without
+     replaying the full element count. *)
+  let jobs = if jobs <= 0 then None else Some jobs in
+  (* Under the round-scheduled strategy the simulation leg doubles as the
+     memprof recorder run: engines compiled while the recorder is enabled
+     report PLM accesses and DMA volumes into the production-path store.
+     The sharded strategy has no Kelly-reconstructable schedule, so its
+     run is timed/traced only and the memory report falls back to the
+     static-vs-dynamic audits. *)
+  let record = strategy = Sim.Functional.Round_scheduled in
+  let sim =
+    if record then
+      Some
+        (sim_n, Cfd_core.Costing.recorded ?jobs ~strategy ~system:sys ~sim_n r)
+    else begin
+      ignore
+        (Sim.Functional.run ?jobs ~strategy ~system:sys
+           ~proc:r.Cfd_core.Compile.proc
+           ~inputs:(Cfd_core.Costing.synthetic_inputs sys)
+           ~n:sim_n ());
+      None
+    end
+  in
+  let mreport = Memprof.Report.make ~kernel:name ?sim (run_audits r) in
+  Format.printf "kernel: %s (%s)@." name kernel.file;
+  Format.printf "%a@." Hls.Model.pp_report r.Cfd_core.Compile.hls;
+  (if diags = [] then Format.printf "check: OK@."
+   else Format.printf "check: %s@." (Analysis.Diagnostic.summary diags));
+  Format.printf "performance (%d elements): %a@." elements Sim.Perf.pp_hw hw;
+  Format.printf "functional simulation: %d elements OK (%s strategy)@." sim_n
+    (Sim.Functional.strategy_name strategy);
+  if not record then
+    Format.printf
+      "memprof: PLM recording skipped (sharded strategy has no \
+       Kelly-reconstructable schedule; rerun with --strategy round)@.";
+  Format.printf "%a@?" Memprof.Report.pp mreport;
+  if not (Memprof.Report.passed mreport) then fatal "memprof audit failed";
+  (* Device-cycle timeline leg: the memprof join follows the same
+     strategy gate as the recorder run — only the round-scheduled
+     strategy has Kelly-reconstructable port-pressure series worth
+     joining onto the cycle clock. *)
+  let treport =
+    Cfd_core.Timeline.analyze ~join_memprof:record ~n_elements:elements r
+  in
+  Format.printf "%a@?" Cfd_core.Timeline.pp_report treport;
+  (match timeline_out with
+  | Some path ->
+      write_file path
+        (Obs.Json.to_string (Cfd_core.Timeline.chrome_trace treport));
+      Printf.printf "wrote %s\n" path
+  | None -> ());
+  if not (Cfd_core.Timeline.passed treport) then
+    fatal "timeline reconciliation failed"
 
 let sim_elements_arg =
   Arg.(value & opt int 16 & info [ "sim-elements" ] ~docv:"N"
@@ -818,30 +720,19 @@ let profile_cmd =
              device-cycle timeline leg" in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const do_profile $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg $ elements_arg $ sim_elements_arg $ jobs_arg $ strategy_arg
-      $ profile_timeline_arg $ obs_opts_term)
+      const do_profile $ kernel_term $ elements_arg $ sim_elements_arg
+      $ jobs_arg $ strategy_arg $ profile_timeline_arg $ obs_opts_term)
 
 (* ---- cost command ---- *)
 
-let do_cost file name factorize decoupled sharing fuse_pointwise ii unroll
-    elements sim_n diff json_out cache_dir oo =
+let do_cost kernel elements sim_n diff json_out cache_dir oo =
+  at_least "elements" elements;
+  if diff then at_least "sim-elements" sim_n;
   obs_setup oo;
-  let src = read_file file in
-  let options =
-    options_of ~name ~factorize ~decoupled ~sharing ~fuse_pointwise ~ii ~unroll
-  in
   let cache = cache_of cache_dir in
-  let r = compile_result ?cache src options in
-  print_front_warnings ~name r;
+  let r = load ?cache kernel in
   let report =
-    match
-      Cfd_core.Costing.analyze ~diff ~sim_n ?cache ~n_elements:elements r
-    with
-    | report -> report
-    | exception Sim.Functional.Error msg ->
-        prerr_endline ("cfdc: functional simulation failed: " ^ msg);
-        fatal ("functional simulation failed: " ^ msg)
+    Cfd_core.Costing.analyze ~diff ~sim_n ?cache ~n_elements:elements r
   in
   (match json_out with
   | Some path ->
@@ -881,22 +772,16 @@ let cost_cmd =
              instrumentation (see docs/ANALYSIS.md)" in
   Cmd.v (Cmd.info "cost" ~doc)
     Term.(
-      const do_cost $ file_arg $ name_arg $ factorize_arg $ decoupled_arg
-      $ sharing_arg $ fuse_pointwise_arg $ ii_arg $ unroll_arg $ elements_arg
-      $ cost_sim_elements_arg $ cost_diff_arg $ cost_json_arg $ cache_dir_arg
-      $ obs_opts_term)
+      const do_cost $ tuned_kernel_term $ elements_arg $ cost_sim_elements_arg
+      $ cost_diff_arg $ cost_json_arg $ cache_dir_arg $ obs_opts_term)
 
 (* ---- cache command ---- *)
 
 let do_cache action dir_flag max_bytes =
-  let dir =
-    match dir_flag with
-    | Some d -> d
-    | None -> (
-        match Sys.getenv_opt "CFDC_CACHE_DIR" with
-        | Some d when d <> "" -> d
-        | _ -> default_cache_dir)
-  in
+  (match (action, max_bytes) with
+  | `Gc, Some n -> at_least ~min:0 "max-bytes" n
+  | _ -> ());
+  let dir = Option.value (cache_dir dir_flag) ~default:default_cache_dir in
   let store = Cache.Store.create ~dir () in
   let print_stats () =
     let s = Cache.Store.stats store in
@@ -1135,9 +1020,16 @@ let () =
   Obs.Flight.set_provenance (Some (Cfd_core.Version.manifest ()));
   try exit (Cmd.eval ~catch:false main) with
   | Analysis.Cost.Invalid_shape msg ->
-      (* a user-supplied shape the cycle model rejects (--elements 0) *)
+      (* a shape the cycle model rejects: the library's backstop behind
+         the boundary's count checks *)
       prerr_endline ("cfdc: invalid shape: " ^ msg);
       fatal ("invalid shape: " ^ msg)
+  | Sysgen.Replicate.Infeasible msg ->
+      prerr_endline ("cfdc: infeasible: " ^ msg);
+      fatal ("infeasible: " ^ msg)
+  | Sim.Functional.Error msg ->
+      prerr_endline ("cfdc: functional simulation failed: " ^ msg);
+      fatal ("functional simulation failed: " ^ msg)
   | e ->
       let bt = Printexc.get_raw_backtrace () in
       (if Obs.Flight.enabled () then

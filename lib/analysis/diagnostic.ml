@@ -49,12 +49,23 @@ let pp_witness ppf = function
   | Intervals (a, b) -> Format.fprintf ppf "%a overlaps %a" pp_ival a pp_ival b
   | Count (got, want) -> Format.fprintf ppf "counted %d, expected %d" got want
 
+let severity_name = function Error -> "error" | Warning -> "warning"
+
 let pp ppf d =
-  let sev = match d.severity with Error -> "error" | Warning -> "warning" in
-  Format.fprintf ppf "%s[%s] %s: %s" sev d.rule d.subject d.message;
+  Format.fprintf ppf "%s[%s] %s: %s" (severity_name d.severity) d.rule
+    d.subject d.message;
   match d.witness with
   | None -> ()
   | Some w -> Format.fprintf ppf " (witness: %a)" pp_witness w
+
+let to_json d =
+  Obs.Json.Obj
+    [
+      ("severity", Obs.Json.String (severity_name d.severity));
+      ("rule", Obs.Json.String d.rule);
+      ("subject", Obs.Json.String d.subject);
+      ("message", Obs.Json.String d.message);
+    ]
 
 let summary ds =
   let ne = List.length (errors ds) and nw = List.length (warnings ds) in

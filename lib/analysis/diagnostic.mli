@@ -44,5 +44,10 @@ val summary : t list -> string
 val pp : Format.formatter -> t -> unit
 (** One line: [error[dep-raw] t_mac -> r_stmt: ... (witness: ...)]. *)
 
+val to_json : t -> Obs.Json.t
+(** An object of the severity, rule, subject and message strings: the one
+    JSON form the cost, timeline and memprof reports embed. The witness
+    is not serialized. *)
+
 val pp_report : Format.formatter -> t list -> unit
 (** Every diagnostic, one per line, followed by the summary line. *)

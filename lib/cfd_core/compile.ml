@@ -104,6 +104,15 @@ let cache_key ?(extra = []) ~options ast =
      ]
     @ extra)
 
+(* The memgen arguments the options select: which arrays get PLMs, and
+   whether compatible ones share. The compile and the memory audit agree
+   on them by construction. *)
+let memgen_scope o =
+  if o.decoupled then Mnemosyne.Memgen.All else Mnemosyne.Memgen.Interface_only
+
+let memgen_mode o =
+  if o.sharing then Mnemosyne.Memgen.Sharing else Mnemosyne.Memgen.No_sharing
+
 let rec compile ?cache ?(options = default_options) ast =
   Obs.Metrics.incr c_compile_runs;
   Obs.Trace.with_span
@@ -209,15 +218,9 @@ and compile_stages ~options ast =
   let checked, tir, program, schedule, liveness = front_stages ~options ast in
   let memory =
     stage "mnemosyne" (fun () ->
-        Mnemosyne.Memgen.generate
-          ~scope:
-            (if options.decoupled then Mnemosyne.Memgen.All
-             else Mnemosyne.Memgen.Interface_only)
+        Mnemosyne.Memgen.generate ~scope:(memgen_scope options)
           ~unroll:(Option.value ~default:1 options.unroll)
-          ~mode:
-            (if options.sharing then Mnemosyne.Memgen.Sharing
-             else Mnemosyne.Memgen.No_sharing)
-          program schedule)
+          ~mode:(memgen_mode options) program schedule)
   in
   let codegen_options =
     {
@@ -371,12 +374,8 @@ let emit_all result (sys : Sysgen.System.t) =
     (name ^ "_accel.f90", Sysgen.Bindings_emit.fortran_module ~kernel_name:name sys);
   ]
 
-let simulate ?config ?force_k ?force_m ~n_elements result =
-  let system = build_system ?config ?force_k ?force_m ~n_elements result in
-  Sysgen.System.validate system;
-  let board =
-    match config with
-    | Some c -> c.Sysgen.Replicate.board
-    | None -> Sysgen.Replicate.default_config.Sysgen.Replicate.board
-  in
-  Sim.Perf.run_hw ~system ~board
+let audit ?mode result =
+  Memprof.Audit.run ~scope:(memgen_scope result.opts)
+    ~unroll:(Option.value ~default:1 result.opts.unroll)
+    ~mode:(Option.value mode ~default:(memgen_mode result.opts))
+    result.program result.schedule

@@ -119,17 +119,14 @@ val build_system :
   result ->
   Sysgen.System.t
 
-val simulate :
-  ?config:Sysgen.Replicate.config ->
-  ?force_k:int ->
-  ?force_m:int ->
-  n_elements:int ->
-  result ->
-  Sim.Perf.hw_result
-(** [build_system] + {!Sim.Perf.run_hw} on the config's board. *)
-
 val emit_all : result -> Sysgen.System.t -> (string * string) list
 (** Every artifact of the flow as (filename, contents) pairs: the HLS C
     kernel, Mnemosyne metadata, PLM Verilog, host driver + header,
     controller and top-level Verilog, and the Fortran/C++ handles —
     what [cfdc emit] writes to disk. *)
+
+val audit : ?mode:Mnemosyne.Memgen.mode -> result -> Memprof.Audit.result
+(** The dynamic memory audit ({!Memprof.Audit.run}) of the compiled
+    pipeline under the memgen scope and unroll factor the options
+    compiled it with. [mode] defaults to the options' own sharing mode;
+    pass it to audit the other one. *)

@@ -26,8 +26,9 @@ let estimate ~board ~system (_ : Compile.result) (_ : Cost.t) =
   Cost.cycles ~overlap:false ~board:(Sim.Perf.board_model board)
     (Sim.Perf.shape_of system)
 
-(* Same deterministic per-element inputs as cfdc's simulation legs, so a
-   drift run reproduces exactly what the profiling commands measure. *)
+(* Affine kernels have data-independent access patterns, so any finite
+   values do; these are deterministic so every simulation leg of the
+   flow replays the same run. *)
 let synthetic_inputs (sys : Sysgen.System.t) =
   let shapes =
     List.map
@@ -43,24 +44,25 @@ let synthetic_inputs (sys : Sysgen.System.t) =
               float_of_int ((((e + 1) * 31) + i) mod 97) /. 97.) ))
       shapes
 
+(* The recorder's probe gate is at compile time, so the engine must be
+   compiled inside the enabled window — Functional.run does that. *)
+let recorded ?jobs ~strategy ~system ~sim_n (r : Compile.result) =
+  Memprof.Record.enable ();
+  Fun.protect ~finally:Memprof.Record.disable (fun () ->
+      ignore
+        (Sim.Functional.run ?jobs ~strategy ~system ~proc:r.Compile.proc
+           ~inputs:(synthetic_inputs system) ~n:sim_n ());
+      Memprof.Record.snapshot ())
+
 let observe ?(sim_n = 4) ~system (r : Compile.result) =
   let proc = r.Compile.proc in
   let v name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   let iterations () = v "exec.iterations.checked" + v "exec.iterations.unchecked" in
   let stmts0 = v "exec.statements" and iters0 = iterations () in
   let in0 = v "sim.dma.bytes_in" and out0 = v "sim.dma.bytes_out" in
-  (* The recorder's probe gate is at compile time, so the engine must be
-     compiled inside the enabled window — Functional.run does that. Only
-     the round-scheduled strategy reports per-set DMA in set order. *)
-  Memprof.Record.enable ();
+  (* Only the round-scheduled strategy reports per-set DMA in set order. *)
   let snap =
-    Fun.protect
-      ~finally:(fun () -> Memprof.Record.disable ())
-      (fun () ->
-        ignore
-          (Sim.Functional.run ~strategy:Sim.Functional.Round_scheduled ~system
-             ~proc ~inputs:(synthetic_inputs system) ~n:sim_n ());
-        Memprof.Record.snapshot ())
+    recorded ~strategy:Sim.Functional.Round_scheduled ~system ~sim_n r
   in
   {
     Cost.obs_elements = sim_n;
@@ -221,16 +223,6 @@ let pp_interval ppf (iv : Poly.Lex.interval) =
 let json_interval (iv : Poly.Lex.interval) =
   Obs.Json.String (Format.asprintf "%a" pp_interval iv)
 
-let json_diag (d : D.t) =
-  Obs.Json.Obj
-    [
-      ( "severity",
-        Obs.Json.String (match d.D.severity with D.Error -> "error" | D.Warning -> "warning") );
-      ("rule", Obs.Json.String d.D.rule);
-      ("subject", Obs.Json.String d.D.subject);
-      ("message", Obs.Json.String d.D.message);
-    ]
-
 let to_json t =
   let c = t.cost in
   let residents_json name =
@@ -309,8 +301,8 @@ let to_json t =
                 ("seconds", Obs.Json.Float e.Cost.ce_seconds);
               ])
           t.estimate );
-      ("diagnostics", Obs.Json.List (List.map json_diag c.Cost.diagnostics));
-      ("drift", json_opt (fun ds -> Obs.Json.List (List.map json_diag ds)) t.drift);
+      ("diagnostics", Obs.Json.List (List.map D.to_json c.Cost.diagnostics));
+      ("drift", json_opt (fun ds -> Obs.Json.List (List.map D.to_json ds)) t.drift);
       ("sim_elements", json_opt (fun n -> Obs.Json.Int n) t.sim_elements);
     ]
 

@@ -46,11 +46,33 @@ val estimate :
     record are not consulted.
     @raise Analysis.Cost.Invalid_shape on an out-of-range system. *)
 
+val synthetic_inputs : Sysgen.System.t -> int -> (string * float array) list
+(** Deterministic per-element inputs for every simulation leg of the
+    flow: [synthetic_inputs system e] binds each per-element input array
+    of [system] to finite values derived from [e]. Affine kernels have
+    data-independent access patterns, so any finite values exercise the
+    same accesses. *)
+
+val recorded :
+  ?jobs:int ->
+  strategy:Sim.Functional.strategy ->
+  system:Sysgen.System.t ->
+  sim_n:int ->
+  Compile.result ->
+  Memprof.Record.snapshot
+(** Run the functional simulation of [sim_n] elements on
+    {!synthetic_inputs} with the PLM access recorder ({!Memprof.Record})
+    enabled for exactly that run, and return the recorder's snapshot.
+    The recorder is disabled again on every exit.
+    @raise Sim.Functional.Error when the simulation fails, notably under
+    the sharded strategy, whose timestamps the recorder cannot
+    reconstruct. *)
+
 val observe :
   ?sim_n:int -> system:Sysgen.System.t -> Compile.result -> Analysis.Cost.observed
-(** Run the dynamic leg: one recorded round-scheduled functional
-    simulation of [sim_n] elements (default 4) with deterministic
-    synthetic inputs.
+(** Run the dynamic leg: one {!recorded} round-scheduled functional
+    simulation of [sim_n] elements (default 4), read back as counter
+    deltas and the recorder snapshot.
     @raise Sim.Functional.Error when the simulation fails. *)
 
 val analyze :

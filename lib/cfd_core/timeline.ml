@@ -46,18 +46,6 @@ let passed t = D.errors (diagnostics t) = []
 
 (* --- memprof join ------------------------------------------------------- *)
 
-let audit_of (r : Compile.result) =
-  let scope =
-    if r.Compile.opts.Compile.decoupled then Mnemosyne.Memgen.All
-    else Mnemosyne.Memgen.Interface_only
-  in
-  let unroll = Option.value r.Compile.opts.Compile.unroll ~default:1 in
-  let mode =
-    if r.Compile.opts.Compile.sharing then Mnemosyne.Memgen.Sharing
-    else Mnemosyne.Memgen.No_sharing
-  in
-  Memprof.Audit.run ~scope ~unroll ~mode r.Compile.program r.Compile.schedule
-
 (* The audit's pressure series live on the kernel-instance sequence
    number; the timeline lives on the cycle clock. Both modes place the
    first kernel execution at cycle [block_in] (plain: block 0's compute;
@@ -194,7 +182,7 @@ let overlap_k ~m =
 let analyze ?(config = Sysgen.Replicate.default_config) ?force_k ?force_m
     ?(overlap = Auto) ?(join_memprof = true) ~n_elements (r : Compile.result) =
   let board = config.Sysgen.Replicate.board in
-  let audit = if join_memprof then Some (audit_of r) else None in
+  let audit = if join_memprof then Some (Compile.audit r) else None in
   let sys = Compile.build_system ~config ?force_k ?force_m ~n_elements r in
   Sysgen.System.validate sys;
   let plain = run_leg ~label:"plain" ~overlap:false ~board ~audit r sys in
@@ -264,18 +252,6 @@ let chrome_trace t =
 
 (* --- rendering ---------------------------------------------------------- *)
 
-let json_diag (d : D.t) =
-  Obs.Json.Obj
-    [
-      ( "severity",
-        Obs.Json.String
-          (match d.D.severity with D.Error -> "error" | D.Warning -> "warning")
-      );
-      ("rule", Obs.Json.String d.D.rule);
-      ("subject", Obs.Json.String d.D.subject);
-      ("message", Obs.Json.String d.D.message);
-    ]
-
 let leg_json l =
   let d = l.leg_derived in
   Obs.Json.Obj
@@ -315,7 +291,7 @@ let leg_json l =
       ("phases", Obs.Json.Int (List.length l.leg_capture.TL.cap_phases));
       ("samples", Obs.Json.Int (List.length l.leg_capture.TL.cap_samples));
       ( "diagnostics",
-        Obs.Json.List (List.map json_diag l.leg_diagnostics) );
+        Obs.Json.List (List.map D.to_json l.leg_diagnostics) );
     ]
 
 let to_json t =
@@ -324,7 +300,7 @@ let to_json t =
       ("kernel", Obs.Json.String t.tl_kernel);
       ("n_elements", Obs.Json.Int t.tl_n_elements);
       ("legs", Obs.Json.List (List.map leg_json t.tl_legs));
-      ("diagnostics", Obs.Json.List (List.map json_diag t.tl_diagnostics));
+      ("diagnostics", Obs.Json.List (List.map D.to_json t.tl_diagnostics));
       ( "drift_errors",
         Obs.Json.Int (List.length (D.errors (diagnostics t))) );
       ("passed", Obs.Json.Bool (passed t));

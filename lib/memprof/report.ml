@@ -52,16 +52,6 @@ let interval_json (iv : Poly.Lex.interval) =
   Obs.Json.Obj
     [ ("first", ts_json iv.Poly.Lex.first); ("last", ts_json iv.Poly.Lex.last) ]
 
-let diag_json (d : D.t) =
-  Obs.Json.Obj
-    [
-      ( "severity",
-        Obs.Json.String (match d.D.severity with D.Error -> "error" | D.Warning -> "warning") );
-      ("rule", Obs.Json.String d.D.rule);
-      ("subject", Obs.Json.String d.D.subject);
-      ("message", Obs.Json.String d.D.message);
-    ]
-
 let pressure_hist label unit_name =
   Obs.Metrics.histogram_snapshot
     (Obs.Metrics.histogram
@@ -112,7 +102,7 @@ let audit_json (a : Audit.result) =
          Obs.Json.List (List.map (unit_json a.Audit.r_label) a.Audit.r_units) );
        ("arrays", Obs.Json.List (List.map array_json a.Audit.r_arrays));
        ( "diagnostics",
-         Obs.Json.List (List.map diag_json a.Audit.r_diagnostics) );
+         Obs.Json.List (List.map D.to_json a.Audit.r_diagnostics) );
      ]
     @
     match total_brams a with

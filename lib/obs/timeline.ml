@@ -6,9 +6,9 @@
    behind one branch and exported as a Chrome trace with one virtual
    tid per track.
 
-   The gate is its own atomic flag, not a [Gate] bit: [Gate.any]
-   drives the host-flow producers ([Trace.with_span]), and enabling the
-   cycle timeline must not start recording host spans. *)
+   The gate is [Gate]'s timeline bit, which [Gate.any] masks out: that
+   word also drives the host-flow producers ([Trace.with_span]), and
+   enabling the cycle timeline must not start recording host spans. *)
 
 type phase = {
   ph_track : string;
@@ -25,9 +25,8 @@ type sample = {
   sm_value : int;
 }
 
-let enabled_flag = Atomic.make false
-let set_enabled on = Atomic.set enabled_flag on
-let enabled () = Atomic.get enabled_flag
+let set_enabled on = Gate.set Gate.timeline_bit on
+let enabled () = Gate.timeline_on ()
 
 (* One global store under a mutex: producers emit from the simulator's
    single-threaded model loop, so contention is nil; the lock only
@@ -42,7 +41,7 @@ let reset () =
       samples_rev := [])
 
 let phase ~track ~name ~start ~dur ?(attrs = []) () =
-  if Atomic.get enabled_flag then
+  if Gate.timeline_on () then
     Mutex.protect lock (fun () ->
         phases_rev :=
           { ph_track = track; ph_name = name; ph_start = start; ph_dur = dur;
@@ -50,7 +49,7 @@ let phase ~track ~name ~start ~dur ?(attrs = []) () =
           :: !phases_rev)
 
 let sample ~track ~series ~cycle ~value =
-  if Atomic.get enabled_flag then
+  if Gate.timeline_on () then
     Mutex.protect lock (fun () ->
         samples_rev :=
           { sm_track = track; sm_series = series; sm_cycle = cycle;

@@ -10,9 +10,9 @@
     disabled path is one atomic load — bit-identical results and zero
     allocation, same contract as the flight recorder.
 
-    The gate is deliberately {e not} a [Gate] bit: [Gate.any] turns on
-    the host-flow span producers, and capturing a cycle timeline must
-    not also start recording host spans.
+    The gate is {!Gate}'s timeline bit, and [Gate.any] excludes it:
+    [Gate.any] turns on the host-flow span producers, and capturing a
+    cycle timeline must not also start recording host spans.
 
     Track naming (see docs/OBSERVABILITY.md for the catalogue):
     ["host"] the critical path (its durations sum exactly to

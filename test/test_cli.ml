@@ -270,6 +270,18 @@ let test_cache_stat_gc_clear () =
   Alcotest.(check int) "gc --max-bytes 0 empties the store" 0
     (Array.length (Sys.readdir dir));
   let _ = run [ "check"; kernel "mass.cfd"; "--cache-dir"; dir ] in
+  let entries = Array.length (Sys.readdir dir) in
+  let code, stdout, stderr =
+    run_split [ "cache"; "gc"; "--cache-dir"; dir; "--max-bytes=-5" ]
+  in
+  Alcotest.(check int) "gc --max-bytes=-5 exits 1" 1 code;
+  Alcotest.(check string) "gc --max-bytes=-5 prints nothing on stdout" ""
+    stdout;
+  Alcotest.(check string) "gc --max-bytes=-5 is one cfdc: line"
+    "cfdc: --max-bytes must be at least 0, got -5\n" stderr;
+  Alcotest.(check int) "gc --max-bytes=-5 leaves the store untouched" entries
+    (Array.length (Sys.readdir dir));
+  let _ = run [ "check"; kernel "mass.cfd"; "--cache-dir"; dir ] in
   let code, text = run_capture [ "cache"; "clear"; "--cache-dir"; dir ] in
   Alcotest.(check int) "cache clear exits 0" 0 code;
   Alcotest.(check bool) "clear reports removals" true
@@ -415,11 +427,13 @@ let test_bad_flags_rejected () =
       ("cache without action", [ "cache" ]);
     ]
 
-(* An out-of-range shape is a one-line user error: exit 1 with a
-   [cfdc:] message, never a drift report or an uncaught exception. *)
+(* An out-of-range shape or count is a one-line user error: exit 1 with
+   a [cfdc:] message and nothing on stdout, never a partial report, a
+   drift report or an uncaught exception. *)
 let rejects_shape args () =
   let code, stdout, stderr = run_split args in
   Alcotest.(check int) "exits 1" 1 code;
+  Alcotest.(check string) "stdout is empty" "" stdout;
   Alcotest.(check bool)
     (Printf.sprintf "stderr starts with cfdc: (%S)" stderr)
     true
@@ -433,6 +447,24 @@ let rejects_shape args () =
     [ "timeline-drift"; "Fatal error" ]
 
 let timeline = [ "timeline"; kernel "inverse_helmholtz.cfd" ]
+
+(* [emit] must refuse before it creates its output directory. *)
+let emit_rejects_zero_elements () =
+  let dir = tmp_dir () in
+  rejects_shape [ "emit"; kernel "mass.cfd"; "--elements=0"; "-o"; dir ] ();
+  Alcotest.(check bool) "output directory not created" false
+    (Sys.file_exists dir)
+
+(* Each subcommand that reads [flag] rejects [value] at the boundary. *)
+let count_cases flag value subcommands =
+  List.map
+    (fun (sub, extra) ->
+      let args = (sub :: kernel "mass.cfd" :: extra) @ [ flag ^ "=" ^ value ] in
+      Alcotest.test_case
+        (Printf.sprintf "%s %s=%s is a cfdc: error"
+           (String.concat " " (sub :: extra)) flag value)
+        `Quick (rejects_shape args))
+    subcommands
 
 (* A kernel the front end rejects is a one-line user error for
    [cfdc explore] too: exit 1 with the checker's [cfdc:] message, never
@@ -485,6 +517,15 @@ let () =
             (rejects_shape (timeline @ [ "--elements=-5" ]));
           Alcotest.test_case "timeline -k 0 is a cfdc: error" `Quick
             (rejects_shape (timeline @ [ "-k"; "0" ]));
+          Alcotest.test_case "emit --elements=0 is a cfdc: error" `Quick
+            emit_rejects_zero_elements;
+        ]
+        @ count_cases "--elements" "0"
+            [ ("explore", []); ("memprof", []); ("system", []); ("cost", []);
+              ("profile", []) ]
+        @ count_cases "--sim-elements" "0"
+            [ ("memprof", []); ("cost", [ "--diff" ]); ("profile", []) ]
+        @ [
           Alcotest.test_case "explore on a bad token is a cfdc: error" `Quick
             (explore_rejects ~source:bad_token_kernel ~message:"lexical error");
           Alcotest.test_case "explore on a zero extent is a cfdc: error"

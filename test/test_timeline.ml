@@ -334,6 +334,29 @@ let test_disabled_zero_alloc () =
     true
     (sample_words < 1_000.0)
 
+(* The timeline is a bit of the shared gate word, but not a span
+   consumer: with only that bit on, host span producers stay on their
+   disabled path and record nothing. *)
+let test_timeline_bit_records_no_spans () =
+  let flight = Obs.Flight.enabled () in
+  Obs.Trace.set_enabled false;
+  Obs.Flight.set_enabled false;
+  Obs.Trace.reset ();
+  TL.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      TL.set_enabled false;
+      TL.reset ();
+      Obs.Flight.set_enabled flight)
+    (fun () ->
+      Alcotest.(check bool) "the timeline is on" true (TL.enabled ());
+      Alcotest.(check bool) "span producers are not instrumenting" false
+        (Obs.Trace.instrumenting ());
+      Alcotest.(check int) "with_span runs its body" 42
+        (Obs.Trace.with_span "test.timeline.gate" (fun () -> 42));
+      Alcotest.(check int) "with_span records no host span" 0
+        (List.length (Obs.Trace.events ())))
+
 let suite =
   [
     ( "timeline.reconcile",
@@ -359,5 +382,7 @@ let suite =
       [
         case "gate off: bit-identical hw results" test_disabled_gate_identical;
         case "gate off: emitters allocate nothing" test_disabled_zero_alloc;
+        case "timeline on alone: no host spans"
+          test_timeline_bit_records_no_spans;
       ] );
   ]
