@@ -3,7 +3,7 @@
 DUNE ?= dune
 KERNEL = kernels/inverse_helmholtz.cfd
 
-.PHONY: all build test bench exec cache history lint profile memprof timeline ci clean
+.PHONY: all build test bench lint profile memprof timeline ci clean
 
 all: build
 
@@ -15,62 +15,6 @@ test:
 
 bench:
 	$(DUNE) exec bench/main.exe
-
-# Execution-engine benchmark + regression gate: run the exec benchmark
-# at a small polynomial order (its functional-simulation leg sweeps the
-# jobs x elements matrix) followed by the cost experiment (the static
-# cycle estimate and a cost-drift differential run), and fail if the
-# element-sharded simulator regresses -- jobs:1 overhead beyond 5% of
-# the sequential baseline anywhere, a parallel headline below 1.0x on a
-# multi-core host -- or if the differential run reports any cost drift
-# (scripts/check_bench_exec.py documents the exact floors).
-exec: build
-	python3 scripts/check_bench_exec_test.py
-	@mkdir -p bench-out
-	$(DUNE) exec --no-build bench/main.exe -- exec cost timeline --exec-p=4 \
-	  --jobs=4 --no-trace --out=bench-out
-	python3 scripts/check_bench_exec.py bench-out/BENCH_exec.json
-
-# Run history + regression sentinel (docs/OBSERVABILITY.md): record two
-# exec+cost runs under distinct run ids into bench-out/history/ (each
-# record carries the run-provenance manifest) and gate the newest
-# against the min-of-N floor of the earlier comparable runs -- a timing
-# regression past the 30% noise band, a silent execution-mode
-# downgrade, or a moved static cycle prediction fails the build
-# (scripts/check_bench_history.py documents the exact rules).
-history: build
-	python3 scripts/check_bench_history_test.py
-	@mkdir -p bench-out
-	$(DUNE) exec --no-build bench/main.exe -- exec cost timeline --exec-p=4 \
-	  --jobs=4 --no-trace --out=bench-out --run-id=ci-a
-	$(DUNE) exec --no-build bench/main.exe -- exec cost timeline --exec-p=4 \
-	  --jobs=4 --no-trace --out=bench-out --run-id=ci-b
-	python3 scripts/check_bench_history.py bench-out/history
-
-# Artifact-cache benchmark + regression gate (docs/CACHING.md): run the
-# cache experiment (cold vs warm compile+check, cold vs warm design
-# sweep over one store) and fail if the warm compile is under 5x, the
-# hit is not bit-identical to the miss, or the warm sweep re-runs any
-# compile/verifier pass or changes an outcome. Then exercise the CLI
-# path end to end: two cached `cfdc check` runs through CFDC_CACHE_DIR
-# must agree byte for byte, and `cfdc cache stat` reports the store.
-cache: build
-	python3 scripts/check_bench_exec_test.py
-	@mkdir -p bench-out
-	$(DUNE) exec --no-build bench/main.exe -- cache --jobs=4 \
-	  --no-trace --out=bench-out
-	python3 scripts/check_bench_exec.py bench-out/BENCH_exec.json
-	@rm -rf bench-out/cache-demo
-	CFDC_CACHE_DIR=bench-out/cache-demo \
-	  $(DUNE) exec --no-build bin/cfdc.exe -- check $(KERNEL) \
-	  > bench-out/cache-demo-cold.txt
-	CFDC_CACHE_DIR=bench-out/cache-demo \
-	  $(DUNE) exec --no-build bin/cfdc.exe -- check $(KERNEL) \
-	  > bench-out/cache-demo-warm.txt
-	cmp bench-out/cache-demo-cold.txt bench-out/cache-demo-warm.txt
-	$(DUNE) exec --no-build bin/cfdc.exe -- cache stat \
-	  --cache-dir=bench-out/cache-demo
-	@echo "cache: warm CLI check byte-identical to cold"
 
 # Static verification of every kernel in the tree (docs/ANALYSIS.md):
 # dependence preservation, bounds, PLM sharing soundness. Warnings fail
@@ -152,13 +96,13 @@ timeline: build
 
 # Build everything, run the full suite, then smoke-test the exploration
 # engine at jobs=1 and jobs=4 (the sweep itself asserts the two agree in
-# test/test_differential.ml; this exercises the CLI path end to end) and
-# the compiled execution engine at a small polynomial order.
-ci: build test lint profile memprof timeline exec cache history
+# test/test_differential.ml; this exercises the CLI path end to end).
+# Timing regressions are gated by perfbench (BENCHMARK.json), not here.
+ci: build test lint profile memprof timeline
 	$(DUNE) exec bin/cfdc.exe -- explore $(KERNEL) --jobs 1 --stats
 	$(DUNE) exec bin/cfdc.exe -- explore $(KERNEL) --jobs 4 --stats
 
 clean:
 	$(DUNE) clean
-	rm -rf bench-out cost-out memprof-out timeline-out crash-reports .cfdc-cache
+	rm -rf cost-out memprof-out timeline-out crash-reports .cfdc-cache
 	rm -f profile_trace.json profile_metrics.json

@@ -6,24 +6,15 @@
      dune exec bench/main.exe table1     # one experiment
      (targets: table1 fig5 fig8 fig9 fig10 batch
                ablate-factorize ablate-decouple ablate-reserve
-               ablate-overlap ablate-unroll ablate-ii operators sem sweep
+               ablate-overlap ablate-unroll ablate-ii operators sem
                exec memprof)
 
    --bechamel additionally runs Bechamel micro-benchmarks of the compiler
    stages themselves (one Test.make per experiment's dominant stage).
-   --jobs=N sets the parallel fan-out of the `sweep` and `exec`
-   experiments (default: Domain.recommended_domain_count); malformed
-   values are rejected. --exec-p=N sets the polynomial order of the
-   `exec` experiment's kernel (default 11); `exec` also writes its
-   measurements (including a per-compile-stage timing breakdown and the
-   run-provenance manifest) to history/BENCH_exec.<run-id>.json — one
-   record per run, the input of scripts/check_bench_history.py — and
-   refreshes the top-level BENCH_exec.json last by atomic rename.
-   --run-id=ID names the history record (default: UTC timestamp + pid).
-   --out=DIR redirects every file the harness writes — the BENCH_*.json
-   records, the history/ directory and the per-experiment span traces
-   (TRACE_<target>.json, Chrome trace-event format) — into DIR instead
-   of the cwd. *)
+   Each experiment writes its span trace to TRACE_<target>.json (Chrome
+   trace-event format) in the cwd; --no-trace turns span recording off.
+   `memprof` also writes BENCH_memprof.json to the cwd. Timing
+   regressions are gated by perfbench (BENCHMARK.json), not here. *)
 
 let board = Sysgen.Replicate.default_config.Sysgen.Replicate.board
 let n_elements = 50000
@@ -321,145 +312,6 @@ let ablate_ii () =
         hw.Sim.Perf.total_seconds)
     [ 1; 2; 4; 7 ]
 
-(* ---------------- DSE sweep: sequential vs parallel ---------------- *)
-
-let jobs_flag = ref 0
-let exec_p = ref 11
-let out_dir = ref "."
-let run_id_flag = ref ""
-
-let out_path name = Filename.concat !out_dir name
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-(* The run id names this run's record in the history directory. CI and
-   tests inject one with --run-id= so the file set is deterministic;
-   interactive runs fall back to a UTC timestamp + pid, which sorts
-   lexicographically in run order. *)
-let effective_run_id =
-  lazy
-    (if !run_id_flag <> "" then !run_id_flag
-     else
-       let tm = Unix.gmtime (Unix.gettimeofday ()) in
-       Printf.sprintf "%04d%02d%02dT%02d%02d%02dZ-p%d"
-         (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-         tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec (Unix.getpid ()))
-
-let write_atomic path content =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
-
-let history_file () =
-  let dir = out_path "history" in
-  mkdir_p dir;
-  Filename.concat dir
-    (Printf.sprintf "BENCH_exec.%s.json" (Lazy.force effective_run_id))
-
-(* Every exec-family record lands twice: in the run history under
-   history/BENCH_exec.<run-id>.json -- one file per run, never clobbered
-   by the next run, the regression sentinel's input -- and over the
-   top-level BENCH_exec.json (the latest-run convenience view every
-   existing consumer reads). Both writes are temp+rename so a crash
-   mid-merge never leaves a truncated record; the top-level refresh
-   happens last. *)
-let write_run_record content =
-  let hist = history_file () in
-  write_atomic hist content;
-  write_atomic (out_path "BENCH_exec.json") content;
-  hist
-
-(* Read-modify-write for the cost/cache legs merging into the exec
-   record: the per-run history file is the source of truth, with the
-   top-level file as fallback when the leg runs standalone. *)
-let merge_run_section section json =
-  let read p =
-    match Obs.Json.of_file p with
-    | Ok (Obs.Json.Obj fields) -> Some (List.remove_assoc section fields)
-    | Ok _ | Error _ -> None
-  in
-  let base =
-    let hist = history_file () in
-    match (if Sys.file_exists hist then read hist else None) with
-    | Some fields -> fields
-    | None ->
-        let top = out_path "BENCH_exec.json" in
-        if Sys.file_exists top then Option.value ~default:[] (read top)
-        else []
-  in
-  write_run_record
-    (Obs.Json.to_string (Obs.Json.Obj (base @ [ (section, json) ])))
-
-let effective_jobs () =
-  if !jobs_flag > 0 then !jobs_flag else Cfd_core.Pool.default_jobs ()
-
-let sweep () =
-  let jobs = effective_jobs () in
-  header
-    (Printf.sprintf
-       "DSE sweep engine: sequential vs parallel (%d jobs) on the p=11\n\
-        Inverse Helmholtz design space, plus polyhedral cache hit rates"
-       jobs);
-  let ast = Cfdlang.Ast.inverse_helmholtz ~p:11 () in
-  (* Widen the standard space so the fan-out has enough work per domain. *)
-  let configurations =
-    Cfd_core.Explore.standard_configurations
-    @ List.concat_map
-        (fun ii ->
-          List.map
-            (fun factorize ->
-              {
-                Cfd_core.Explore.label =
-                  Printf.sprintf "ii=%d factorize=%b" ii factorize;
-                options =
-                  {
-                    Cfd_core.Compile.default_options with
-                    Cfd_core.Compile.pipeline_ii = Some ii;
-                    factorize;
-                  };
-              })
-            [ true; false ])
-        [ 2; 4; 7 ]
-  in
-  let timed ?(cold = true) label jobs =
-    if cold then Poly.Memo.clear_all ();
-    Poly.Stats.reset ();
-    let t0 = Unix.gettimeofday () in
-    let outcomes =
-      Cfd_core.Explore.sweep ~jobs ~configurations ~n_elements ast
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    let hits = Poly.Stats.total_hits () and misses = Poly.Stats.total_misses () in
-    Printf.printf "  %-28s %6.2f s   cache: %d hits / %d misses (%.1f%%)\n%!"
-      label dt hits misses
-      (if hits + misses = 0 then 0.
-       else 100. *. float_of_int hits /. float_of_int (hits + misses));
-    (outcomes, dt)
-  in
-  let seq, t_seq = timed "sequential, cold cache" 1 in
-  let warm, t_warm = timed ~cold:false "sequential, warm cache" 1 in
-  let par, t_par = timed (Printf.sprintf "parallel (jobs=%d), cold" jobs) jobs in
-  Printf.printf
-    "  memoization speedup (warm/cold): %.2fx   parallel speedup: %.2fx\n"
-    (t_seq /. t_warm) (t_seq /. t_par);
-  Printf.printf "  outcomes identical across all runs: %b\n"
-    (seq = warm && seq = par);
-  if jobs = 1 then
-    Printf.printf
-      "  (only one recommended domain on this machine; pass --jobs=N to force)\n";
-  Printf.printf "\n  per-cache statistics of the parallel run:\n%s"
-    (Format.asprintf "%a" Poly.Stats.pp ());
-  Printf.printf "\n  %d configurations:\n" (List.length par);
-  List.iter
-    (fun o -> Format.printf "    %a@." Cfd_core.Explore.pp_outcome o)
-    par
-
 (* ---------------- operator suite ---------------- *)
 
 let operators () =
@@ -517,36 +369,25 @@ let time_per_run f =
   in
   go 1
 
-(* Noise-robust timing for the functional-simulation matrix: one warmup,
-   repetitions calibrated so a sample is >= ~60 ms, then the minimum per-
-   run time over three samples (the minimum filters scheduler noise,
-   which only ever adds time). *)
-let time_min f =
-  f ();
-  let sample reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let rec calib reps =
-    let per = sample reps in
-    if per *. float_of_int reps < 0.06 && reps < 1 lsl 20 then calib (reps * 2)
-    else (reps, per)
-  in
-  let reps, first = calib 1 in
-  Float.min first (Float.min (sample reps) (sample reps))
+(* Blit one seeded input set of [r] into the buffers [buffer] resolves;
+   an array Mnemosyne stacked into a shared PLM lives at an offset of
+   its host buffer. *)
+let stage_inputs r buffer =
+  let storage = r.Cfd_core.Compile.memory.Mnemosyne.Memgen.storage in
+  List.iter
+    (fun (name, tensor) ->
+      let buf, off =
+        Option.value ~default:(name, 0) (List.assoc_opt name storage)
+      in
+      let data = Tensor.Dense.to_array tensor in
+      Array.blit data 0 (buffer buf) off (Array.length data))
+    (Cfdlang.Eval.random_inputs ~seed:1 r.Cfd_core.Compile.checked)
 
 let exec () =
-  let p = !exec_p in
-  let jobs = effective_jobs () in
   header
-    (Printf.sprintf
-       "Execution engine: tree-walking interpreter vs compiled LoopIR\n\
-        (p=%d Inverse Helmholtz, ns per element; parallel at %d jobs)"
-       p jobs);
-  let r = compile ~p ~sharing:true () in
+    "Execution engine: tree-walking interpreter vs compiled LoopIR\n\
+     (p=11 Inverse Helmholtz, ns per element)";
+  let r = Lazy.force shared in
   let proc = r.Cfd_core.Compile.proc in
   let mode = Analysis.Verify.execution_mode proc in
   let mode_name =
@@ -556,230 +397,22 @@ let exec () =
     | Loopir.Compiled.Debug -> "debug"
   in
   let engine = Loopir.Compiled.compile ~mode proc in
-  let storage = r.Cfd_core.Compile.memory.Mnemosyne.Memgen.storage in
-  let buffer_of name =
-    match List.assoc_opt name storage with
-    | Some (b, off) -> (b, off)
-    | None -> (name, 0)
-  in
-  let inputs = Cfdlang.Eval.random_inputs ~seed:1 r.Cfd_core.Compile.checked in
-  (* One interpreter memory and one compiled frame, staged identically. *)
+  let frame = Loopir.Compiled.make_frame engine in
+  stage_inputs r (Loopir.Compiled.buffer engine frame);
   let memory = Hashtbl.create 16 in
   List.iter
     (fun (prm : Loopir.Prog.param) ->
       Hashtbl.replace memory prm.Loopir.Prog.name
         (Array.make prm.Loopir.Prog.size 0.0))
     proc.Loopir.Prog.params;
-  let stage_frame frame =
-    List.iter
-      (fun (name, tensor) ->
-        let buf, off = buffer_of name in
-        let data = Tensor.Dense.to_array tensor in
-        Array.blit data 0
-          (Loopir.Compiled.buffer engine frame buf)
-          off (Array.length data))
-      inputs
-  in
-  let frame = Loopir.Compiled.make_frame engine in
-  stage_frame frame;
-  List.iter
-    (fun (name, tensor) ->
-      let buf, off = buffer_of name in
-      let data = Tensor.Dense.to_array tensor in
-      Array.blit data 0 (Hashtbl.find memory buf) off (Array.length data))
-    inputs;
+  stage_inputs r (Hashtbl.find memory);
   let t_interp = time_per_run (fun () -> Loopir.Interp.run proc memory) in
   let t_compiled = time_per_run (fun () -> Loopir.Compiled.run engine frame) in
-  (* Parallel leg: [jobs] frames driven concurrently, as the functional
-     simulator drives the k accelerators of a controller round. *)
-  let par_frames =
-    List.init jobs (fun _ ->
-        let f = Loopir.Compiled.make_frame engine in
-        stage_frame f;
-        f)
-  in
-  let reps_inner = max 1 (int_of_float (0.25 /. Float.max t_compiled 1e-9)) in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (function
-      | Ok () -> ()
-      | Error (e : Cfd_core.Pool.error) -> failwith e.Cfd_core.Pool.message)
-    (Cfd_core.Pool.map ~jobs
-       (fun f ->
-         for _ = 1 to reps_inner do
-           Loopir.Compiled.run engine f
-         done)
-       par_frames);
-  let t_parallel =
-    (Unix.gettimeofday () -. t0) /. float_of_int (jobs * reps_inner)
-  in
   let ns t = t *. 1e9 in
   Printf.printf "  engine mode: %s (verifier license)\n" mode_name;
   Printf.printf "  %-22s %14.0f ns/element\n" "tree-walking" (ns t_interp);
   Printf.printf "  %-22s %14.0f ns/element  (%.2fx)\n" "compiled" (ns t_compiled)
-    (t_interp /. t_compiled);
-  Printf.printf "  %-22s %14.0f ns/element  (%.2fx, %d jobs, %d host core%s)\n"
-    "compiled+parallel" (ns t_parallel) (t_interp /. t_parallel) jobs
-    (Cfd_core.Pool.default_jobs ())
-    (if Cfd_core.Pool.default_jobs () = 1 then "" else "s");
-  (* Functional simulation of the full system: a jobs x elements matrix
-     over both scheduling strategies. The sequential baseline is the
-     round-scheduled strategy at jobs:1 (the Kelly-faithful host loop
-     with no helper domains); the parallel story is the element-sharded
-     strategy, whose single dispatch amortizes pool costs over the whole
-     run. *)
-  let n_headline = 1024 in
-  let sys = Cfd_core.Compile.build_system ~n_elements:n_headline r in
-  Sysgen.System.validate sys;
-  let sol = sys.Sysgen.System.solution in
-  Printf.printf "  system: k=%d accelerators, m=%d PLM sets, batch=%d\n"
-    sol.Sysgen.Replicate.k sol.Sysgen.Replicate.m sol.Sysgen.Replicate.batch;
-  let element_inputs =
-    List.map (fun (n, t) -> (n, Tensor.Dense.to_array t)) inputs
-  in
-  let sim_time ~strategy ~jobs n =
-    time_min (fun () ->
-        ignore
-          (Sim.Functional.run ~jobs ~strategy ~system:sys ~proc
-             ~inputs:(fun _ -> element_inputs)
-             ~n ()))
-  in
-  (* The headline parallel leg runs at the effective job count: forcing
-     jobs > cores would only measure the runtime's stop-the-world GC
-     synchronizing oversubscribed domains, not the simulator. The matrix
-     still carries the fixed jobs 2 and 4 legs for cross-host
-     trajectory comparison. *)
-  let jobs_par = jobs in
-  let jobs_list = List.sort_uniq compare [ 1; 2; 4; jobs_par ] in
-  let elements_list = [ 64; 256; n_headline ] in
-  Printf.printf
-    "  functional simulation (min-of-3 timing; speedup vs round-scheduled \
-     jobs:1):\n";
-  Printf.printf "    %8s | %-15s | %4s | %10s | %7s\n" "elements" "strategy"
-    "jobs" "seconds" "speedup";
-  let matrix =
-    List.concat_map
-      (fun n ->
-        let t_seq = sim_time ~strategy:Sim.Functional.Round_scheduled ~jobs:1 n in
-        let legs =
-          ((Sim.Functional.Round_scheduled, 1), t_seq)
-          :: List.map
-               (fun j ->
-                 ((Sim.Functional.Sharded, j),
-                  sim_time ~strategy:Sim.Functional.Sharded ~jobs:j n))
-               jobs_list
-          @
-          if jobs_par = 1 then []
-          else
-            [
-              ((Sim.Functional.Round_scheduled, jobs_par),
-               sim_time ~strategy:Sim.Functional.Round_scheduled ~jobs:jobs_par n);
-            ]
-        in
-        List.map
-          (fun ((strategy, j), t) ->
-            let speedup = t_seq /. t in
-            Printf.printf "    %8d | %-15s | %4d | %10.4f | %6.2fx\n" n
-              (Sim.Functional.strategy_name strategy)
-              j t speedup;
-            (n, strategy, j, t, speedup))
-          legs)
-      elements_list
-  in
-  let find ~strategy ~jobs n =
-    let _, _, _, t, speedup =
-      List.find
-        (fun (n', s, j, _, _) -> n' = n && s = strategy && j = jobs)
-        matrix
-    in
-    (t, speedup)
-  in
-  let t_sim_seq, _ = find ~strategy:Sim.Functional.Round_scheduled ~jobs:1 n_headline in
-  let t_shard1, _ = find ~strategy:Sim.Functional.Sharded ~jobs:1 n_headline in
-  let t_sim_par, sim_par_speedup =
-    find ~strategy:Sim.Functional.Sharded ~jobs:jobs_par n_headline
-  in
-  let shard1_overhead = (t_shard1 /. t_sim_seq) -. 1.0 in
-  Printf.printf
-    "  headline (%d elements): seq %.4f s | sharded jobs:1 %.4f s (%+.1f%% \
-     overhead) | sharded jobs:%d %.4f s (%.2fx)\n"
-    n_headline t_sim_seq t_shard1 (100. *. shard1_overhead) jobs_par t_sim_par
-    sim_par_speedup;
-  let matrix_json =
-    Obs.Json.to_string
-      (Obs.Json.List
-         (List.map
-            (fun (n, strategy, j, t, speedup) ->
-              Obs.Json.Obj
-                [
-                  ("elements", Obs.Json.Int n);
-                  ("strategy",
-                   Obs.Json.String (Sim.Functional.strategy_name strategy));
-                  ("jobs", Obs.Json.Int j);
-                  ("seconds", Obs.Json.Float t);
-                  ("speedup_vs_seq", Obs.Json.Float speedup);
-                ])
-            matrix))
-  in
-  (* Per-stage compile timing breakdown from the compile.* spans of this
-     experiment's own compilation (empty when tracing is off). *)
-  let stage_us =
-    List.fold_left
-      (fun acc (e : Obs.Trace.event) ->
-        let n = e.Obs.Trace.ev_name in
-        if String.length n > 8 && String.sub n 0 8 = "compile." then
-          let stage = String.sub n 8 (String.length n - 8) in
-          let prev = Option.value ~default:0. (List.assoc_opt stage acc) in
-          (stage, prev +. e.Obs.Trace.ev_dur) :: List.remove_assoc stage acc
-        else acc)
-      [] (Obs.Trace.events ())
-    |> List.rev
-  in
-  let stage_json =
-    Obs.Json.to_string
-      (Obs.Json.Obj (List.map (fun (s, us) -> (s, Obs.Json.Float us)) stage_us))
-  in
-  (* Machine-readable trajectory record, stamped with the run's
-     provenance manifest (build identity, argv, host, platform). *)
-  let manifest_json =
-    Obs.Json.to_string
-      (Cfd_core.Version.manifest ~run_id:(Lazy.force effective_run_id) ())
-  in
-  let record =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"exec\",\n\
-    \  \"kernel\": \"inverse_helmholtz\",\n\
-    \  \"p\": %d,\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"treewalk_ns_per_element\": %.1f,\n\
-    \  \"compiled_ns_per_element\": %.1f,\n\
-    \  \"compiled_speedup\": %.2f,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"parallel_jobs\": %d,\n\
-    \  \"parallel_ns_per_element\": %.1f,\n\
-    \  \"parallel_speedup\": %.2f,\n\
-    \  \"functional_sim_elements\": %d,\n\
-    \  \"functional_sim_strategy\": \"sharded\",\n\
-    \  \"functional_sim_jobs\": %d,\n\
-    \  \"functional_sim_seq_seconds\": %.4f,\n\
-    \  \"functional_sim_shard1_seconds\": %.4f,\n\
-    \  \"functional_sim_shard1_overhead\": %.4f,\n\
-    \  \"functional_sim_par_seconds\": %.4f,\n\
-    \  \"functional_sim_par_speedup\": %.2f,\n\
-    \  \"functional_sim_matrix\": %s,\n\
-    \  \"compile_stage_us\": %s,\n\
-    \  \"manifest\": %s\n\
-     }\n"
-      p mode_name (ns t_interp) (ns t_compiled) (t_interp /. t_compiled)
-      (Cfd_core.Pool.default_jobs ()) jobs (ns t_parallel)
-      (t_interp /. t_parallel) n_headline jobs_par t_sim_seq t_shard1
-      shard1_overhead t_sim_par sim_par_speedup matrix_json stage_json
-      manifest_json
-  in
-  let hist = write_run_record record in
-  Printf.printf "  wrote %s\n" hist;
-  Printf.printf "  wrote %s\n" (out_path "BENCH_exec.json")
+    (t_interp /. t_compiled)
 
 (* ---------------- Memory profiler overhead ---------------- *)
 
@@ -791,28 +424,14 @@ let memprof_bench () =
   header
     "Memory profiler overhead: compiled engine with the PLM access\n\
      recorder disabled vs enabled (p=11 Inverse Helmholtz)";
-  let r = compile ~p:11 ~sharing:true () in
+  let r = Lazy.force shared in
   let proc = r.Cfd_core.Compile.proc in
   let mode = Analysis.Verify.execution_mode proc in
-  let storage = r.Cfd_core.Compile.memory.Mnemosyne.Memgen.storage in
-  let buffer_of name =
-    match List.assoc_opt name storage with
-    | Some (b, off) -> (b, off)
-    | None -> (name, 0)
-  in
-  let inputs = Cfdlang.Eval.random_inputs ~seed:1 r.Cfd_core.Compile.checked in
   let timed recording =
     if recording then Memprof.Record.enable () else Memprof.Record.disable ();
     let engine = Loopir.Compiled.compile ~mode proc in
     let frame = Loopir.Compiled.make_frame engine in
-    List.iter
-      (fun (name, tensor) ->
-        let buf, off = buffer_of name in
-        let data = Tensor.Dense.to_array tensor in
-        Array.blit data 0
-          (Loopir.Compiled.buffer engine frame buf)
-          off (Array.length data))
-      inputs;
+    stage_inputs r (Loopir.Compiled.buffer engine frame);
     let t = time_per_run (fun () -> Loopir.Compiled.run engine frame) in
     let probed = Loopir.Compiled.probed engine in
     Memprof.Record.disable ();
@@ -829,7 +448,7 @@ let memprof_bench () =
   Printf.printf "  recorded across all timing reps: %d accesses over %d buffers\n"
     sn.Memprof.Record.sn_accesses
     (List.length sn.Memprof.Record.sn_buffers);
-  let oc = open_out (out_path "BENCH_memprof.json") in
+  let oc = open_out "BENCH_memprof.json" in
   Printf.fprintf oc
     "{\n\
     \  \"benchmark\": \"memprof\",\n\
@@ -847,236 +466,7 @@ let memprof_bench () =
     sn.Memprof.Record.sn_accesses
     (List.length sn.Memprof.Record.sn_buffers);
   close_out oc;
-  Printf.printf "  wrote %s\n" (out_path "BENCH_memprof.json")
-
-(* ---------------- Static cost model ---------------- *)
-
-(* The static price of the default configuration (the performance
-   model's own closed form, pinned by the history sentinel) and the
-   cost-drift verdict of a full differential run, which must come out
-   clean. The record merges into BENCH_exec.json under "cost", so run
-   this after the exec experiment (which rewrites that file from
-   scratch). *)
-let cost_bench () =
-  let p = !exec_p in
-  header
-    (Printf.sprintf
-       "Static cost model: cycle estimate and drift (p=%d Inverse\n\
-        Helmholtz, %d elements)"
-       p n_elements);
-  let r = Cfd_core.Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p ()) in
-  let report = Cfd_core.Costing.analyze ~diff:true ~sim_n:4 ~n_elements r in
-  let predicted =
-    match report.Cfd_core.Costing.estimate with
-    | Some e -> e.Analysis.Cost.ce_total_cycles
-    | None -> failwith "cost: default configuration infeasible"
-  in
-  let drift = Option.value ~default:[] report.Cfd_core.Costing.drift in
-  Printf.printf "  predicted %d cycles\n" predicted;
-  Printf.printf "  drift diagnostics (differential run, 4 elements): %d\n"
-    (List.length drift);
-  let cost_json =
-    Obs.Json.Obj
-      [
-        ("p", Obs.Json.Int p);
-        ("elements", Obs.Json.Int n_elements);
-        ("predicted_cycles", Obs.Json.Int predicted);
-        ("drift_diagnostics", Obs.Json.Int (List.length drift));
-      ]
-  in
-  let hist = merge_run_section "cost" cost_json in
-  Printf.printf "  wrote %s\n" hist;
-  Printf.printf "  wrote %s\n" (out_path "BENCH_exec.json")
-
-(* ---------------- Artifact cache ---------------- *)
-
-(* Two legs, mirroring how the cache is consumed. Compile: cold
-   (emptied store, so the run is a miss plus a store) vs warm (hit) for
-   compile + check, min-of-3 with the polyhedral memos cleared before
-   every rep so both legs pay the identical front-half cost and the
-   delta is exactly the cached back half and verdict; the warm result
-   is compared field by field against the cold one. Sweep: the
-   standard design space twice over one store, counting compile.runs /
-   verify.runs deltas — the warm pass must replay outcomes, not
-   pipelines. Merges into BENCH_exec.json under "cache" (run after
-   exec, which rewrites that file from scratch). *)
-let cache_bench () =
-  let p = !exec_p in
-  let jobs = effective_jobs () in
-  header
-    (Printf.sprintf
-       "Artifact cache: cold vs warm compilation, verification and DSE\n\
-        (p=%d Inverse Helmholtz, %d elements, %d jobs)"
-       p n_elements jobs);
-  let ast = Cfdlang.Ast.inverse_helmholtz ~p () in
-  let options = Cfd_core.Compile.default_options in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "cfdc-bench-cache-%d" (Unix.getpid ()))
-  in
-  let store = Cache.Store.create ~dir () in
-  let v name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-  let hits0 = v "cache.hits" and misses0 = v "cache.misses" in
-  let compile_and_check () =
-    let r = Cfd_core.Compile.compile ~cache:store ~options ast in
-    (r, Cfd_core.Compile.check ~cache:store r)
-  in
-  let min3 ~prep f =
-    let sample () =
-      prep ();
-      Poly.Memo.clear_all ();
-      let t0 = Unix.gettimeofday () in
-      let x = f () in
-      (Unix.gettimeofday () -. t0, x)
-    in
-    let t1, x = sample () in
-    let t2, _ = sample () in
-    let t3, _ = sample () in
-    (Float.min t1 (Float.min t2 t3), x)
-  in
-  let t_cold, (r_cold, d_cold) =
-    min3 ~prep:(fun () -> ignore (Cache.Store.clear store)) compile_and_check
-  in
-  let t_warm, (r_warm, d_warm) = min3 ~prep:(fun () -> ()) compile_and_check in
-  let compile_speedup = t_cold /. t_warm in
-  (* Exactly the products a hit serves, plus the verdict; the front half
-     is recomputed on both legs and needs no comparison. *)
-  let hit_identical =
-    r_cold.Cfd_core.Compile.c_source = r_warm.Cfd_core.Compile.c_source
-    && Stdlib.compare r_cold.Cfd_core.Compile.proc r_warm.Cfd_core.Compile.proc
-       = 0
-    && Stdlib.compare r_cold.Cfd_core.Compile.memory
-         r_warm.Cfd_core.Compile.memory
-       = 0
-    && Stdlib.compare r_cold.Cfd_core.Compile.hls r_warm.Cfd_core.Compile.hls
-       = 0
-    && r_cold.Cfd_core.Compile.mnemosyne_metadata
-       = r_warm.Cfd_core.Compile.mnemosyne_metadata
-    && Stdlib.compare d_cold d_warm = 0
-  in
-  Printf.printf
-    "  compile+check: cold %.4f s | warm %.4f s | %.1fx | hit identical: %b\n"
-    t_cold t_warm compile_speedup hit_identical;
-  let sweep_leg () =
-    Poly.Memo.clear_all ();
-    let c0 = v "compile.runs" and v0 = v "verify.runs" in
-    let t0 = Unix.gettimeofday () in
-    let outcomes = Cfd_core.Explore.sweep ~jobs ~cache:store ~n_elements ast in
-    let dt = Unix.gettimeofday () -. t0 in
-    (outcomes, dt, v "compile.runs" - c0, v "verify.runs" - v0)
-  in
-  ignore (Cache.Store.clear store);
-  let o_cold, t_sweep_cold, cr_cold, vr_cold = sweep_leg () in
-  let o_warm, t_sweep_warm, cr_warm, vr_warm = sweep_leg () in
-  let outcomes_identical = o_cold = o_warm in
-  Printf.printf
-    "  sweep (%d configurations): cold %.2f s / %d compiles / %d verifies\n\
-    \                             warm %.2f s / %d compiles / %d verifies \
-     (%.1fx)\n\
-    \  outcomes identical: %b\n"
-    (List.length o_cold) t_sweep_cold cr_cold vr_cold t_sweep_warm cr_warm
-    vr_warm
-    (t_sweep_cold /. t_sweep_warm)
-    outcomes_identical;
-  let s = Cache.Store.stats store in
-  let hits = v "cache.hits" - hits0 and misses = v "cache.misses" - misses0 in
-  Printf.printf "  store: %d entries, %d bytes | session %d hits / %d misses\n"
-    s.Cache.Store.st_disk_entries s.Cache.Store.st_disk_bytes hits misses;
-  let cache_json =
-    Obs.Json.Obj
-      [
-        ("p", Obs.Json.Int p);
-        ("elements", Obs.Json.Int n_elements);
-        ("cold_compile_seconds", Obs.Json.Float t_cold);
-        ("warm_compile_seconds", Obs.Json.Float t_warm);
-        ("compile_speedup", Obs.Json.Float compile_speedup);
-        ("hit_identical", Obs.Json.Bool hit_identical);
-        ("sweep_jobs", Obs.Json.Int jobs);
-        ("cold_sweep_seconds", Obs.Json.Float t_sweep_cold);
-        ("warm_sweep_seconds", Obs.Json.Float t_sweep_warm);
-        ("sweep_speedup", Obs.Json.Float (t_sweep_cold /. t_sweep_warm));
-        ("cold_sweep_compile_runs", Obs.Json.Int cr_cold);
-        ("warm_sweep_compile_runs", Obs.Json.Int cr_warm);
-        ("cold_sweep_verify_runs", Obs.Json.Int vr_cold);
-        ("warm_sweep_verify_runs", Obs.Json.Int vr_warm);
-        ("sweep_outcomes_identical", Obs.Json.Bool outcomes_identical);
-        ("hits", Obs.Json.Int hits);
-        ("misses", Obs.Json.Int misses);
-        ("evictions", Obs.Json.Int s.Cache.Store.st_evictions);
-        ("disk_entries", Obs.Json.Int s.Cache.Store.st_disk_entries);
-        ("disk_bytes", Obs.Json.Int s.Cache.Store.st_disk_bytes);
-      ]
-  in
-  let hist = merge_run_section "cache" cache_json in
-  Printf.printf "  wrote %s\n" hist;
-  Printf.printf "  wrote %s\n" (out_path "BENCH_exec.json");
-  ignore (Cache.Store.clear store);
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
-(* ---------------- Device-cycle timeline ---------------- *)
-
-(* One shape for both legs (k=8 halves the accelerators so m >= 2k holds
-   without reshaping): the overlapped total is then provably <= the
-   plain total, and the record's utilization numbers compare run over
-   run under the history sentinel. The reconciliation gate (timeline
-   phase sums == hw_result == Analysis.Cost closed form) rides in as
-   drift_errors. *)
-let timeline_bench () =
-  let p = !exec_p in
-  let elements = 2048 in
-  header
-    (Printf.sprintf
-       "Device-cycle timeline: utilization of the p=%d Inverse Helmholtz\n\
-        (k=8 m=16, plain vs double-buffered legs, %d elements, \
-        reconciliation gate)"
-       p elements);
-  let r = compile ~p ~sharing:true () in
-  let report =
-    Cfd_core.Timeline.analyze ~force_k:8 ~force_m:16
-      ~overlap:Cfd_core.Timeline.Require ~n_elements:elements r
-  in
-  Format.printf "%a@?" Cfd_core.Timeline.pp_report report;
-  let leg label =
-    match Cfd_core.Timeline.find_leg report label with
-    | Some l -> l
-    | None -> failwith ("timeline bench: missing leg " ^ label)
-  in
-  let plain = leg "plain" and overl = leg "overlapped" in
-  let dp = plain.Cfd_core.Timeline.leg_derived in
-  let dv = overl.Cfd_core.Timeline.leg_derived in
-  let drift_errors =
-    List.length
-      (Analysis.Diagnostic.errors (Cfd_core.Timeline.diagnostics report))
-  in
-  let saved =
-    dp.Cfd_core.Timeline.d_total_cycles - dv.Cfd_core.Timeline.d_total_cycles
-  in
-  Printf.printf "  overlap saves %d cycles (%.1f%%)\n" saved
-    (100. *. float_of_int saved
-    /. float_of_int (max 1 dp.Cfd_core.Timeline.d_total_cycles));
-  let timeline_json =
-    Obs.Json.Obj
-      [
-        ("p", Obs.Json.Int p);
-        ("elements", Obs.Json.Int elements);
-        ("drift_errors", Obs.Json.Int drift_errors);
-        ( "plain_total_cycles",
-          Obs.Json.Int dp.Cfd_core.Timeline.d_total_cycles );
-        ( "plain_compute_share",
-          Obs.Json.Float dp.Cfd_core.Timeline.d_compute_share );
-        ( "plain_transfer_share",
-          Obs.Json.Float dp.Cfd_core.Timeline.d_transfer_share );
-        ( "overlap_total_cycles",
-          Obs.Json.Int dv.Cfd_core.Timeline.d_total_cycles );
-        ( "overlap_efficiency",
-          Obs.Json.Float dv.Cfd_core.Timeline.d_overlap_efficiency );
-        ("overlap_saved_cycles", Obs.Json.Int saved);
-      ]
-  in
-  let hist = merge_run_section "timeline" timeline_json in
-  Printf.printf "  wrote %s\n" hist;
-  Printf.printf "  wrote %s\n" (out_path "BENCH_exec.json")
+  Printf.printf "  wrote BENCH_memprof.json\n"
 
 (* ---------------- Bechamel micro-benchmarks ---------------- *)
 
@@ -1142,6 +532,7 @@ let bechamel () =
 
 (* ---------------- driver ---------------- *)
 
+
 let experiments =
   [
     ("table1", table1);
@@ -1158,12 +549,8 @@ let experiments =
     ("ablate-ii", ablate_ii);
     ("operators", operators);
     ("sem", sem);
-    ("sweep", sweep);
     ("exec", exec);
     ("memprof", memprof_bench);
-    ("cost", cost_bench);
-    ("cache", cache_bench);
-    ("timeline", timeline_bench);
   ]
 
 (* Each experiment runs under its own trace window: buffers are cleared
@@ -1177,7 +564,7 @@ let run_experiment ~traced (name, f) =
     Obs.Trace.set_enabled true;
     Obs.Trace.reset ();
     f ();
-    let path = out_path ("TRACE_" ^ name ^ ".json") in
+    let path = "TRACE_" ^ name ^ ".json" in
     Obs.Export.write_chrome_trace ~path ();
     Obs.Trace.reset ();
     Printf.printf "  wrote %s\n" path
@@ -1190,48 +577,15 @@ let () =
       (fun a -> not (String.length a > 2 && String.sub a 0 2 = "--"))
       args
   in
-  let positive_int key value =
-    match int_of_string_opt value with
-    | Some v when v >= 1 -> v
-    | Some _ | None ->
-        Printf.eprintf "%s expects a positive integer, got %S\n" key value;
-        exit 2
-  in
   List.iter
     (fun f ->
-      match String.index_opt f '=' with
-      | Some i -> (
-          let key = String.sub f 0 i in
-          let value = String.sub f (i + 1) (String.length f - i - 1) in
-          match key with
-          | "--jobs" -> jobs_flag := positive_int key value
-          | "--exec-p" -> exec_p := positive_int key value
-          | "--out" -> out_dir := value
-          | "--run-id" ->
-              let ok c =
-                (c >= 'a' && c <= 'z')
-                || (c >= 'A' && c <= 'Z')
-                || (c >= '0' && c <= '9')
-                || c = '-' || c = '_' || c = '.'
-              in
-              if value = "" || not (String.for_all ok value) then begin
-                Printf.eprintf "--run-id expects [A-Za-z0-9._-]+, got %S\n"
-                  value;
-                exit 2
-              end;
-              run_id_flag := value
-          | _ ->
-              Printf.eprintf "unknown flag %s\n" f;
-              exit 2)
-      | None ->
-          if f <> "--bechamel" && f <> "--no-trace" then begin
-            Printf.eprintf "unknown flag %s\n" f;
-            exit 2
-          end)
+      if f <> "--bechamel" && f <> "--no-trace" then begin
+        Printf.eprintf "unknown flag %s\n" f;
+        exit 2
+      end)
     flags;
   let run_bechamel = List.mem "--bechamel" flags in
   let traced = not (List.mem "--no-trace" flags) in
-  mkdir_p !out_dir;
   (match named with
   | [] -> List.iter (fun (n, f) -> run_experiment ~traced (n, f)) experiments
   | names ->

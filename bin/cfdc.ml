@@ -433,6 +433,7 @@ let emit_cmd =
 
 let do_explore file elements jobs stats cache_dir oo =
   at_least "elements" elements;
+  at_least ~min:0 "jobs" jobs;
   obs_setup oo;
   let src = read_file file in
   let ast =
@@ -442,7 +443,7 @@ let do_explore file elements jobs stats cache_dir oo =
         prerr_endline ("cfdc: " ^ message);
         fatal ("front end: " ^ message)
   in
-  let jobs = if jobs <= 0 then Cfd_core.Pool.default_jobs () else jobs in
+  let jobs = if jobs = 0 then Cfd_core.Pool.default_jobs () else jobs in
   let outcomes =
     Cfd_core.Explore.sweep ~jobs ?cache:(cache_of cache_dir)
       ~n_elements:elements ast
@@ -639,6 +640,7 @@ let timeline_cmd =
 let do_profile kernel elements sim_n jobs strategy timeline_out oo =
   at_least "elements" elements;
   at_least "sim-elements" sim_n;
+  at_least ~min:0 "jobs" jobs;
   (* Tracing is always on for a profile run; the human summary prints
      unless the caller asked only for file sinks. *)
   obs_setup ~force_summary:(oo.oo_trace = None && oo.oo_metrics = None) oo;
@@ -653,7 +655,7 @@ let do_profile kernel elements sim_n jobs strategy timeline_out oo =
   (* Functional simulation of a small batch with deterministic synthetic
      inputs: enough to light up the engine, pool and DMA counters without
      replaying the full element count. *)
-  let jobs = if jobs <= 0 then None else Some jobs in
+  let jobs = if jobs = 0 then None else Some jobs in
   (* Under the round-scheduled strategy the simulation leg doubles as the
      memprof recorder run: engines compiled while the recorder is enabled
      report PLM accesses and DMA volumes into the production-path store.

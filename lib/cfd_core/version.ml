@@ -25,16 +25,13 @@ let pp ppf () =
   Format.fprintf ppf "options fingerprint: %d@." options_fingerprint_version;
   Format.fprintf ppf "ocaml: %s@." Sys.ocaml_version
 
-let manifest ?(argv = Array.to_list Sys.argv) ?run_id () =
+let manifest ?(argv = Array.to_list Sys.argv) () =
   let host = try Unix.gethostname () with _ -> "unknown" in
   Obs.Json.Obj
-    ((match run_id with
-     | Some id -> [ ("run_id", Obs.Json.String id) ]
-     | None -> [])
-    @ [
-        ("build", build_info ());
-        ("argv", Obs.Json.List (List.map (fun a -> Obs.Json.String a) argv));
-        ("host", Obs.Json.String host);
-        ("platform", Obs.Json.String Compile.platform_fingerprint);
-        ("unix_time", Obs.Json.Float (Unix.gettimeofday ()));
-      ])
+    [
+      ("build", build_info ());
+      ("argv", Obs.Json.List (List.map (fun a -> Obs.Json.String a) argv));
+      ("host", Obs.Json.String host);
+      ("platform", Obs.Json.String Compile.platform_fingerprint);
+      ("unix_time", Obs.Json.Float (Unix.gettimeofday ()));
+    ]

@@ -525,6 +525,7 @@ let () =
               ("profile", []) ]
         @ count_cases "--sim-elements" "0"
             [ ("memprof", []); ("cost", [ "--diff" ]); ("profile", []) ]
+        @ count_cases "--jobs" "-1" [ ("explore", []); ("profile", []) ]
         @ [
           Alcotest.test_case "explore on a bad token is a cfdc: error" `Quick
             (explore_rejects ~source:bad_token_kernel ~message:"lexical error");

@@ -491,6 +491,14 @@ let test_kernel file () =
       with
       | Error m -> Alcotest.failf "%s options=%02x: %s" file bits m
       | Ok r ->
+          (* The verifier licenses every shipped kernel for the unchecked
+             fast path at the default factorized shape. *)
+          if bits = 0x01 then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s options=01 runs unchecked" file)
+              true
+              (Analysis.Verify.execution_mode r.Cfd_core.Compile.proc
+              = Compiled.Unchecked);
           differential_of_result ~debug:(bits land 0x01 = 1)
             ~probed:(bits = 0x01)
             ~what:(Printf.sprintf "%s options=%02x" file bits)

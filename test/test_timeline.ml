@@ -105,6 +105,10 @@ let test_derived_metrics_consistent () =
   in
   let plain = leg "plain" and ov = leg "overlapped" in
   let pd = plain.Timeline.leg_derived and od = ov.Timeline.leg_derived in
+  let in_unit x = x >= 0.0 && x <= 1.0 in
+  Alcotest.(check bool) "plain shares in [0,1]" true
+    (in_unit pd.Timeline.d_compute_share
+    && in_unit pd.Timeline.d_transfer_share);
   Alcotest.(check bool) "plain shares partition the total" true
     (Float.abs
        (pd.Timeline.d_compute_share +. pd.Timeline.d_transfer_share -. 1.0)
@@ -114,8 +118,7 @@ let test_derived_metrics_consistent () =
   Alcotest.(check bool) "overlapped shares exceed 1" true
     (od.Timeline.d_compute_share +. od.Timeline.d_transfer_share > 1.0);
   Alcotest.(check bool) "overlap efficiency in [0,1]" true
-    (od.Timeline.d_overlap_efficiency >= 0.0
-    && od.Timeline.d_overlap_efficiency <= 1.0);
+    (in_unit od.Timeline.d_overlap_efficiency);
   Alcotest.(check bool) "same shape: overlap no slower" true
     (od.Timeline.d_total_cycles <= pd.Timeline.d_total_cycles)
 
