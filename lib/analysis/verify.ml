@@ -24,40 +24,77 @@ let sched_exprs ~tuple_arity ~at ~n (s1 : Schedule.sched1) =
         let i = pos / 2 in
         if i < d then Aff.var n (at + s1.dims.(i)) else Aff.const n 0)
 
+(* [solved_equalities base e] is an expression equal to [e] on [base]:
+   each equality of [base] with a unit coefficient is solved for that
+   variable, and the solutions are substituted into [e] in order. *)
+let solved_equalities base =
+  let reduce solved e = List.fold_left (fun e (i, r) -> Aff.substitute e i r) e solved in
+  let solved =
+    List.fold_left
+      (fun solved -> function
+        | BS.Ge _ -> solved
+        | BS.Eq e -> (
+            let e = reduce solved e in
+            let n = Aff.arity e in
+            match List.find_opt (fun i -> abs (Aff.coeff e i) = 1) (List.init n Fun.id) with
+            | None -> solved
+            | Some i ->
+                (* c x_i + rest = 0 with c = ±1, so x_i = -c rest *)
+                let c = Aff.coeff e i in
+                solved @ [ (i, Aff.scale (-c) (Aff.sub e (Aff.scale c (Aff.var n i)))) ]))
+      [] (BS.constraints base)
+  in
+  reduce solved
+
 (* Witness of [ts_later <= ts_earlier] (lexicographically, i.e. the
    strict order demanded of the dependence is violated) inside [base].
    Decomposed level by level: at each level either the strict reversal
    holds under equality of all earlier levels, or — after the last level —
-   the two tuples are identical. Constant-vs-constant components are
-   resolved without touching the solver, which settles most statement
-   pairs purely on their beta vectors. *)
-let order_violation base earlier later =
-  if BS.is_empty base then None
-  else
-    let space = BS.space base in
-    let candidate prefix extra =
-      let cs = List.rev_append prefix extra in
-      let s =
-        if cs = [] then base else BS.intersect base (BS.of_constraints space cs)
+   the two tuples are identical. A component difference that is constant
+   on [base] — constant outright, or once the equalities of [base] are
+   substituted into it — is resolved without touching the solver, which
+   settles most statement pairs on their beta vectors and on the
+   equalities of the accessed element. [base] is built only when the
+   beta components alone do not settle the pair. *)
+let order_violation (base : BS.t Lazy.t) earlier later =
+  let nonempty =
+    lazy
+      (let base = Lazy.force base in
+       if BS.is_empty base then None else Some (base, solved_equalities base))
+  in
+  let candidate prefix extra =
+    match Lazy.force nonempty with
+    | None -> None
+    | Some (base, _) ->
+        let cs = List.rev_append prefix extra in
+        let s =
+          if cs = [] then base
+          else BS.intersect base (BS.of_constraints (BS.space base) cs)
+        in
+        BS.lexmin s
+  in
+  let levels = Array.length earlier in
+  let rec go l prefix =
+    if l >= levels then candidate prefix []
+    else
+      let diff = Aff.sub earlier.(l) later.(l) in
+      let diff =
+        if Aff.is_constant diff then Some diff
+        else Option.map (fun (_, reduce) -> reduce diff) (Lazy.force nonempty)
       in
-      BS.lexmin s
-    in
-    let levels = Array.length earlier in
-    let rec go l prefix =
-      if l >= levels then candidate prefix []
-      else
-        let diff = Aff.sub earlier.(l) later.(l) in
-        if Aff.is_constant diff then
+      match diff with
+      | None -> None (* empty base *)
+      | Some diff when Aff.is_constant diff ->
           let c = Aff.constant diff in
           if c < 0 then None (* earlier < later at l: ordered, prefixes below dead *)
           else if c > 0 then candidate prefix [] (* later < earlier at l *)
           else go (l + 1) prefix
-        else
+      | Some diff -> (
           match candidate prefix [ BS.Ge (Aff.add_const diff (-1)) ] with
           | Some w -> Some w
-          | None -> go (l + 1) (BS.Eq diff :: prefix)
-    in
-    go 0 []
+          | None -> go (l + 1) (BS.Eq diff :: prefix))
+  in
+  go 0 []
 
 (* Conflict set of two accesses: both instance domains side by side plus
    equality of the accessed tensor element. *)
@@ -91,7 +128,7 @@ let self_violation base d earlier later =
           (BS.of_constraints space
              (List.rev (BS.Ge (Aff.add_const diff (-1)) :: prefix)))
       in
-      match order_violation wedge earlier later with
+      match order_violation (Lazy.from_val wedge) earlier later with
       | Some w -> Some w
       | None -> go (m + 1) (BS.Eq diff :: prefix)
   in
@@ -140,7 +177,9 @@ let schedule_deps (program : Flow.program) (schedule : Schedule.t) =
       let seen = ref [] in
       let conflict kind (a : Flow.access) (b : Flow.access) =
         if not (List.mem (kind, a.Flow.array) !seen) then
-          match order_violation (conflict_base s t a.Flow.map b.Flow.map) earlier later with
+          match
+            order_violation (lazy (conflict_base s t a.Flow.map b.Flow.map)) earlier later
+          with
           | None -> ()
           | Some w ->
               seen := (kind, a.Flow.array) :: !seen;
@@ -176,9 +215,11 @@ let schedule_deps (program : Flow.program) (schedule : Schedule.t) =
             self `War r.Flow.map s.Flow.write.Flow.map
           end)
         (Flow.reads s);
+      (* a write the closed form cannot prove injective just gets the
+         self-WAW search, which finds nothing on an injective one *)
       if
         (not (is_mac s))
-        && not (Poly.Aff_map.is_injective_on s.Flow.write.Flow.map s.Flow.domain)
+        && not (Poly.Aff_map.injective_closed_form s.Flow.write.Flow.map s.Flow.domain)
       then self `Waw s.Flow.write.Flow.map s.Flow.write.Flow.map
     end
   done;
@@ -210,41 +251,228 @@ let iter_box (dom : BS.t) f =
         done
       end
 
+(* [s]'s write as a signed projection of a nonempty box domain: the box,
+   and per output [Some (i, sign)] when the output is [sign * x_i + c]
+   with sign = ±1 and a distinct variable per output, or [None] when it
+   is a constant. The write image is then exactly a box, and each
+   element written fixes the variables the write uses. *)
+let write_projection (s : Flow.statement) =
+  match BS.box s.Flow.domain with
+  | Some box when Array.for_all (fun (lo, hi) -> lo <= hi) box ->
+      let used = Array.make (Array.length box) false in
+      let output e =
+        match List.filter (fun i -> Aff.coeff e i <> 0) (List.init (Array.length box) Fun.id) with
+        | [] -> Some None
+        | [ i ] when abs (Aff.coeff e i) = 1 && not used.(i) ->
+            used.(i) <- true;
+            Some (Some (i, Aff.coeff e i))
+        | _ -> None
+      in
+      let outs = Array.map output (Poly.Aff_map.exprs s.Flow.write.Flow.map) in
+      if Array.for_all Option.is_some outs then Some (box, Array.map Option.get outs)
+      else None
+  | _ -> None
+
+let image_box (s : Flow.statement) box =
+  Array.map (fun e -> Aff.range e box) (Poly.Aff_map.exprs s.Flow.write.Flow.map)
+
+(* Every element [r] reads over [dom] lies in the box [wbox]: per
+   dimension, the read's range over the bounding box of [dom] first; then
+   by Fourier–Motzkin, the instances reading below or above each bound
+   form empty sets. *)
+let covers dom (r : Flow.access) wbox =
+  let rexprs = Poly.Aff_map.exprs r.Flow.map in
+  let in_range () =
+    match BS.bounding_box dom with
+    | None -> false
+    | Some rbox ->
+        Array.length rexprs = Array.length wbox
+        && Array.for_all2
+          (fun e (lo, hi) ->
+            let a, b = Aff.range e rbox in
+            lo <= a && b <= hi)
+          rexprs wbox
+  in
+  let entailed () =
+    let n = BS.arity dom in
+    let none_where c = BS.is_empty (BS.add_constraint dom (BS.Ge c)) in
+    Array.length rexprs = Array.length wbox
+    && Array.for_all2
+      (fun e (lo, hi) ->
+        none_where (Aff.sub (Aff.const n (lo - 1)) e)
+        && none_where (Aff.add_const e (-(hi + 1))))
+      rexprs wbox
+  in
+  in_range () || entailed ()
+
+(* Statement [t]'s read [r] is defined before use, by proof: some other
+   statement [s] writes every element [r] reads (coverage, in tensor
+   index space) and every instance of [s] writing an element [t] reads
+   is scheduled strictly before that read (the RAW query of
+   [schedule_deps]). Equal tensor elements have equal flat offsets, so
+   this holds for any layout. [writers] pairs each statement with its
+   [write_projection]. *)
+let proved_defined schedule ~tuple_arity writers (t : Flow.statement)
+    (r : Flow.access) =
+  List.exists
+    (fun ((s : Flow.statement), projection) ->
+      s.Flow.stmt_name <> t.Flow.stmt_name
+      && s.Flow.write.Flow.array = r.Flow.array
+      &&
+      match projection with
+      | None -> false
+      | Some (box, _) ->
+          covers t.Flow.domain r (image_box s box)
+          &&
+          let ds = BS.arity s.Flow.domain in
+          let n = ds + BS.arity t.Flow.domain in
+          let earlier =
+            sched_exprs ~tuple_arity ~at:0 ~n (Schedule.find schedule s.Flow.stmt_name)
+          and later =
+            sched_exprs ~tuple_arity ~at:ds ~n (Schedule.find schedule t.Flow.stmt_name)
+          in
+          order_violation (lazy (conflict_base s t s.Flow.write.Flow.map r.Flow.map)) earlier later
+          = None)
+    writers
+
+(* The first write of each element of [array] in closed form, for the
+   witness search: when the layout is injective on the tensor and every
+   writer is a signed projection whose image lies inside the tensor, an
+   offset belongs to one element only, and the earliest instance of a
+   writer writing an element has the write's variables solved from the
+   element and every other variable at its lower bound (every schedule
+   component is a constant or one variable, so the schedule never
+   decreases as a variable grows). [None] when this does not apply. *)
+let element_first_write (program : Flow.program) schedule writers array =
+  let info = Flow.array_info program array in
+  let tensor = List.map (fun e -> (0, e - 1)) info.Flow.tensor_shape in
+  let within img =
+    List.length tensor = Array.length img
+    && List.for_all2 (fun (tlo, thi) (lo, hi) -> tlo <= lo && hi <= thi) tensor
+         (Array.to_list img)
+  in
+  let solve ((s : Flow.statement), projection) =
+    Option.bind projection (fun (box, outs) ->
+        let img = image_box s box in
+        if not (within img) then None
+        else
+          let consts = Array.map Aff.constant (Poly.Aff_map.exprs s.Flow.write.Flow.map) in
+          let s1 = Schedule.find schedule s.Flow.stmt_name in
+          Some
+            (fun e ->
+              if Array.for_all2 (fun v (lo, hi) -> lo <= v && v <= hi) e img then begin
+                let x = Array.map fst box in
+                Array.iteri
+                  (fun k -> function
+                    | Some (i, sign) -> x.(i) <- sign * (e.(k) - consts.(k))
+                    | None -> ())
+                  outs;
+                Some (Schedule.timestamp schedule s1 x)
+              end
+              else None))
+  in
+  let writes =
+    List.filter (fun ((s : Flow.statement), _) -> s.Flow.write.Flow.array = array) writers
+  in
+  let solvers = List.filter_map solve writes in
+  if
+    List.length solvers = List.length writes
+    && Poly.Aff_map.injective_closed_form info.Flow.layout
+         (BS.of_box (Poly.Aff_map.dom info.Flow.layout) tensor)
+  then
+    Some
+      (fun e ->
+        List.fold_left
+          (fun acc solver ->
+            match (solver e, acc) with
+            | Some ts, Some cur when Lex.lt ts cur -> Some ts
+            | Some ts, None -> Some ts
+            | _ -> acc)
+          None solvers)
+  else None
+
 let use_before_def (program : Flow.program) (schedule : Schedule.t) =
-  let diags = ref [] in
-  let first_write : (string, Lex.timestamp option array) Hashtbl.t =
-    Hashtbl.create 16
+  let tuple_arity = Schedule.tuple_arity schedule in
+  let writers =
+    List.map (fun (s : Flow.statement) -> (s, write_projection s)) program.Flow.stmts
   in
-  let table name =
-    match Hashtbl.find_opt first_write name with
-    | Some t -> t
+  (* Enumeration, only for reads the proof leaves open and whose first
+     writes have no closed form: the lexicographically first write per
+     element of one array. *)
+  let tables : (string, Lex.timestamp option array) Hashtbl.t = Hashtbl.create 4 in
+  let first_write_table array =
+    match Hashtbl.find_opt tables array with
+    | Some tbl -> tbl
     | None ->
-        let info = Flow.array_info program name in
-        let t = Array.make (max info.Flow.size 0) None in
-        Hashtbl.replace first_write name t;
-        t
+        let info = Flow.array_info program array in
+        let tbl = Array.make (max info.Flow.size 0) None in
+        List.iter
+          (fun (stmt : Flow.statement) ->
+            if stmt.Flow.write.Flow.array = array then begin
+              let s1 = Schedule.find schedule stmt.Flow.stmt_name in
+              let wmap = Flow.array_access program stmt.Flow.write in
+              iter_box stmt.Flow.domain (fun x ->
+                  let off = (Poly.Aff_map.apply wmap x).(0) in
+                  if off >= 0 && off < Array.length tbl then
+                    let ts = Schedule.timestamp schedule s1 x in
+                    match tbl.(off) with
+                    | None -> tbl.(off) <- Some ts
+                    | Some cur -> if Lex.lt ts cur then tbl.(off) <- Some ts)
+            end)
+          program.Flow.stmts;
+        Hashtbl.replace tables array tbl;
+        tbl
   in
-  (* pass 1: lexicographically first write per element *)
-  List.iter
+  (* The first instance of [stmt] whose read [r] does not land strictly
+     after its element's first write, in domain order. *)
+  let witness (stmt : Flow.statement) (r : Flow.access) =
+    let s1 = Schedule.find schedule stmt.Flow.stmt_name in
+    let rmap = Flow.array_access program r in
+    let size = max (Flow.array_info program r.Flow.array).Flow.size 0 in
+    let closed_form =
+      let rexprs = Array.to_list (Poly.Aff_map.exprs r.Flow.map)
+      and shape = (Flow.array_info program r.Flow.array).Flow.tensor_shape in
+      match BS.bounding_box stmt.Flow.domain with
+      | Some rbox
+        when List.length rexprs = List.length shape
+             && List.for_all2
+                  (fun e extent ->
+                    let lo, hi = Aff.range e rbox in
+                    0 <= lo && hi < extent)
+                  rexprs shape ->
+          element_first_write program schedule writers r.Flow.array
+      | _ -> None
+    in
+    let first_write =
+      match closed_form with
+      | Some fw -> fun x _ -> fw (Poly.Aff_map.apply r.Flow.map x)
+      | None ->
+          let tbl = first_write_table r.Flow.array in
+          fun _ off -> tbl.(off)
+    in
+    let found = ref None in
+    (try
+       iter_box stmt.Flow.domain (fun x ->
+           let off = (Poly.Aff_map.apply rmap x).(0) in
+           if off >= 0 && off < size then
+             let bad why =
+               found := Some (Array.copy x, off, why);
+               raise Exit
+             in
+             match first_write x off with
+             | None -> bad "the element is never written"
+             | Some fw ->
+                 let ts = Schedule.timestamp schedule s1 x in
+                 if not (Lex.lt fw ts) then
+                   bad "the read is scheduled at or before its first write")
+     with Exit -> ());
+    !found
+  in
+  (* A Mac's += is a read-modify-write of its accumulator, so the write
+     access joins the read list: a missing initialization makes the first
+     accumulation read an undefined element. *)
+  List.concat_map
     (fun (stmt : Flow.statement) ->
-      let s1 = Schedule.find schedule stmt.Flow.stmt_name in
-      let wmap = Flow.array_access program stmt.Flow.write in
-      let tbl = table stmt.Flow.write.Flow.array in
-      iter_box stmt.Flow.domain (fun x ->
-          let off = (Poly.Aff_map.apply wmap x).(0) in
-          if off >= 0 && off < Array.length tbl then
-            let ts = Schedule.timestamp schedule s1 x in
-            match tbl.(off) with
-            | None -> tbl.(off) <- Some ts
-            | Some cur -> if Lex.lt ts cur then tbl.(off) <- Some ts))
-    program.Flow.stmts;
-  (* pass 2: every read must land strictly after its element's first
-     write. A Mac's += is a read-modify-write of its accumulator, so the
-     write access joins the read list: a missing initialization makes the
-     first accumulation read its own (garbage) first-write timestamp. *)
-  List.iter
-    (fun (stmt : Flow.statement) ->
-      let s1 = Schedule.find schedule stmt.Flow.stmt_name in
       let reads =
         Flow.reads stmt
         @ (match stmt.Flow.compute with
@@ -252,43 +480,25 @@ let use_before_def (program : Flow.program) (schedule : Schedule.t) =
           | _ -> [])
       in
       let flagged = ref [] in
-      List.iter
+      List.filter_map
         (fun (r : Flow.access) ->
-          let info = Flow.array_info program r.Flow.array in
-          if info.Flow.kind <> Flow.Input && not (List.mem r.Flow.array !flagged)
-          then begin
-            let rmap = Flow.array_access program r in
-            let tbl = table r.Flow.array in
-            let witness = ref None in
-            (try
-               iter_box stmt.Flow.domain (fun x ->
-                   let off = (Poly.Aff_map.apply rmap x).(0) in
-                   if off >= 0 && off < Array.length tbl then
-                     let bad why =
-                       witness := Some (Array.copy x, off, why);
-                       raise Exit
-                     in
-                     match tbl.(off) with
-                     | None -> bad "the element is never written"
-                     | Some fw ->
-                         let ts = Schedule.timestamp schedule s1 x in
-                         if not (Lex.lt fw ts) then
-                           bad "the read is scheduled at or before its first write")
-             with Exit -> ());
-            match !witness with
-            | None -> ()
+          if
+            (Flow.array_info program r.Flow.array).Flow.kind = Flow.Input
+            || List.mem r.Flow.array !flagged
+            || proved_defined schedule ~tuple_arity writers stmt r
+          then None
+          else
+            match witness stmt r with
+            | None -> None
             | Some (x, off, why) ->
                 flagged := r.Flow.array :: !flagged;
-                diags :=
-                  D.error ~rule:"use-before-def" ~subject:stmt.Flow.stmt_name
-                    ~witness:(D.Instance (stmt.Flow.stmt_name, x))
-                    (Format.sprintf "reads %s@%d before it is defined: %s"
-                       r.Flow.array off why)
-                  :: !diags
-          end)
+                Some
+                  (D.error ~rule:"use-before-def" ~subject:stmt.Flow.stmt_name
+                     ~witness:(D.Instance (stmt.Flow.stmt_name, x))
+                     (Format.sprintf "reads %s@%d before it is defined: %s"
+                        r.Flow.array off why)))
         reads)
-    program.Flow.stmts;
-  List.rev !diags
+    program.Flow.stmts
 
 let bounds (proc : Loopir.Prog.proc) =
   let diags = ref [] in

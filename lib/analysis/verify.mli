@@ -1,16 +1,15 @@
 (** The independent static verifier behind [cfdc check].
 
     The compiler pipeline already carries its own legality arguments: the
-    rescheduler checks dependences by exact enumeration
-    ([Lower.Schedule.legal]), codegen bounds accesses by interval
-    arithmetic, and Mnemosyne's substitute shares memory only between
-    compatible arrays. This module re-derives each of those claims {e from
-    first principles} with {!Poly} — dependence relations straight from
-    [Lower.Flow], Fourier–Motzkin range analysis on the emitted loop nest,
-    lexicographic live intervals recomputed from schedule graphs — and
-    cross-checks the pipeline's output against them. None of the checked
-    modules ([Lower.Reschedule], [Lower.Codegen], [Liveness.Analysis],
-    [Mnemosyne.Memgen]) is consulted for the verdict.
+    rescheduler keeps dependences legal by construction, codegen bounds
+    accesses by interval arithmetic, and Mnemosyne's substitute shares
+    memory only between compatible arrays. This module re-derives each of
+    those claims {e from first principles} with {!Poly} — dependence
+    relations straight from [Lower.Flow], Fourier–Motzkin range analysis
+    on the emitted loop nest, lexicographic live intervals recomputed from
+    schedule graphs — and cross-checks the pipeline's output against them.
+    None of the checked modules ([Lower.Reschedule], [Lower.Codegen],
+    [Liveness.Analysis], [Mnemosyne.Memgen]) is consulted for the verdict.
 
     Every failed proof is reported as a {!Diagnostic.t} with a stable rule
     id and, where possible, a concrete witness (a statement-instance pair,
@@ -40,15 +39,23 @@ val use_before_def :
   Lower.Flow.program -> Lower.Schedule.t -> Diagnostic.t list
 (** Use-before-def (rule [use-before-def]).
 
-    By exact enumeration of statement instances, computes the
-    lexicographically first write timestamp of every array element and
-    flags any read scheduled at-or-before it (reads of [Input] arrays are
-    exempt: the virtual first statement writes them). A [Mac] statement's
-    read-modify-write of its own accumulator counts as a read, so a
-    missing or late initialization is caught here even though
-    accumulation reordering is otherwise permitted. Elements read but
-    never written at all are also flagged. One diagnostic per
-    (statement, array) pair, carrying the first offending instance. *)
+    Every read is proved first: it holds when some other statement
+    writing the array covers every element the read touches (a
+    per-dimension range comparison, then Fourier–Motzkin entailment, on
+    the writer's box-shaped write image) and schedules each such write
+    strictly before the read (the RAW query of {!schedule_deps}). Only a
+    read the proof leaves open is scanned, for the first reading instance
+    at-or-before its element's first write, or reading an element never
+    written. First writes come in closed form when every writer of the
+    array is a signed projection of a box and its layout is provably
+    injective, and from an enumerated per-element table otherwise.
+    Reads of [Input] arrays are exempt (the virtual first statement
+    writes them). A [Mac] statement's read-modify-write of its own
+    accumulator counts as a read, so a missing or late initialization is
+    caught here even though accumulation reordering is otherwise
+    permitted. One diagnostic per (statement, array) pair, carrying the
+    first offending instance — the same diagnostics as enumerating every
+    read. *)
 
 val bounds : Loopir.Prog.proc -> Diagnostic.t list
 (** Affine bounds checking (rules [bounds-load], [bounds-store],

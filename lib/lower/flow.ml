@@ -271,23 +271,6 @@ let operand_map program stmt =
   ignore program;
   maps
 
-(* Bounds of an affine expression over a box. *)
-let expr_range box (e : Poly.Aff.t) =
-  let lo = ref (Poly.Aff.constant e) and hi = ref (Poly.Aff.constant e) in
-  Array.iteri
-    (fun i (blo, bhi) ->
-      let c = Poly.Aff.coeff e i in
-      if c > 0 then begin
-        lo := !lo + (c * blo);
-        hi := !hi + (c * bhi)
-      end
-      else if c < 0 then begin
-        lo := !lo + (c * bhi);
-        hi := !hi + (c * blo)
-      end)
-    box;
-  (!lo, !hi)
-
 let validate program =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -303,7 +286,7 @@ let validate program =
       let exprs = Poly.Aff_map.exprs a.layout in
       if Array.length exprs <> 1 then
         errf "layout of %s must target a 1-D array" a.array_name;
-      let lay_lo, lay_hi = expr_range lay_box exprs.(0) in
+      let lay_lo, lay_hi = Poly.Aff.range exprs.(0) lay_box in
       if lay_lo < 0 || lay_hi >= a.size then
         errf "layout of %s reaches offsets [%d, %d] outside size %d"
           a.array_name lay_lo lay_hi a.size;
@@ -324,7 +307,7 @@ let validate program =
             then errf "%s access to %s has wrong rank in %s" what acc.array stmt.stmt_name;
             Array.iteri
               (fun d e ->
-                let lo, hi = expr_range box e in
+                let lo, hi = Poly.Aff.range e box in
                 if lo < 0 || hi >= shape.(d) then
                   errf "%s access to %s dim %d out of bounds in %s" what
                     acc.array d stmt.stmt_name)

@@ -33,4 +33,4 @@ val compute : ?options:options -> Flow.program -> Schedule.t
 (** Always returns a schedule accepted by {!Schedule.validate}. Legality
     with respect to element dependences is guaranteed by construction for
     programs built by {!Flow.of_kernel} and double-checked in the test
-    suite via {!Schedule.legal}. *)
+    suite against an exact-enumeration legality oracle. *)

@@ -9,8 +9,9 @@
     padded with zeros to the program's uniform schedule arity. Tuples are
     compared lexicographically ({!Poly.Lex}); equal beta prefixes encode
     loop fusion, and [dims] encodes loop permutation. This restricted,
-    always-codegen-able class is what our rescheduler searches; legality
-    is checked against exact element dependences. *)
+    always-codegen-able class is what our rescheduler searches;
+    [Analysis.Verify] proves legality against exact element
+    dependences. *)
 
 type sched1 = { betas : int array; dims : int array }
 (** [Array.length betas = Array.length dims + 1]; [dims] is a permutation
@@ -53,12 +54,5 @@ val validate : Flow.program -> t -> unit
     permutations, and no two statements share a full beta-vector at equal
     loop structure ambiguously (distinct statements in one fused body must
     have distinct trailing betas). @raise Error otherwise. *)
-
-val legal : Flow.program -> t -> bool
-(** Exact legality by enumeration: for every read of an array element, the
-    producing write is scheduled strictly earlier; initializations precede
-    their accumulations; accumulation order changes are permitted
-    (reductions are reassociable). Intended for tests and small domains —
-    cost is proportional to the number of statement instances. *)
 
 val pp : Format.formatter -> t -> unit

@@ -21,8 +21,8 @@
 
     Affine kernels have data-independent access patterns, so a single
     run over synthetic inputs observes every access the schedule will
-    ever perform. Cost is proportional to statement instances — same
-    regime as [Lower.Schedule.legal]. *)
+    ever perform. Cost is proportional to statement instances, like any
+    exact enumeration of the schedule. *)
 
 exception Error of string
 (** Internal inconsistency (probe/provenance mismatch) — distinct from a

@@ -61,6 +61,24 @@ let substitute t i repl =
     without.coeffs.(i) <- 0;
     add without (scale c repl)
 
+let range t box =
+  if Array.length box <> arity t then
+    raise (Arity_mismatch (arity t, Array.length box));
+  let lo = ref t.const and hi = ref t.const in
+  Array.iteri
+    (fun i (blo, bhi) ->
+      let c = t.coeffs.(i) in
+      if c > 0 then begin
+        lo := !lo + (c * blo);
+        hi := !hi + (c * bhi)
+      end
+      else if c < 0 then begin
+        lo := !lo + (c * bhi);
+        hi := !hi + (c * blo)
+      end)
+    box;
+  (!lo, !hi)
+
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
 let gcd_reduce t =

@@ -30,6 +30,11 @@ val add_const : t -> int -> t
 val eval : t -> int array -> int
 (** @raise Arity_mismatch. *)
 
+val range : t -> (int * int) array -> int * int
+(** [range e box] is the least and greatest value of [e] over the box
+    with inclusive per-variable bounds [box]; both are attained at a
+    corner of a nonempty box. @raise Arity_mismatch. *)
+
 val is_constant : t -> bool
 val equal : t -> t -> bool
 

@@ -86,9 +86,40 @@ let image_points t bset =
     (Basic_set.enumerate bset);
   Hashtbl.fold (fun p () acc -> p :: acc) tbl []
 
+(* Injectivity over the bounding box of [bset], decided from the
+   coefficients alone. Only dimensions with extent > 1 vary; the map is
+   injective when each varying dimension is the only varying term of some
+   output (read it back from that output), or, for a 1-D map, when the
+   strides sorted by magnitude form a mixed radix: each exceeds the span
+   of all smaller ones, so the largest stride whose digits differ
+   dominates every smaller difference. *)
+let injective_closed_form t bset =
+  match Basic_set.bounding_box bset with
+  | None -> false
+  | Some box when Array.exists (fun (lo, hi) -> lo > hi) box -> true
+  | Some box ->
+      let varying =
+        List.filter (fun i -> fst box.(i) < snd box.(i)) (List.init (Array.length box) Fun.id)
+      in
+      let sole i e =
+        Aff.coeff e i <> 0 && List.for_all (fun j -> j = i || Aff.coeff e j = 0) varying
+      in
+      let rec radix span = function
+        | [] -> true
+        | (stride, i) :: rest ->
+            stride > span && radix (span + (stride * (snd box.(i) - fst box.(i)))) rest
+      in
+      List.for_all (fun i -> Array.exists (sole i) t.exprs) varying
+      ||
+      match t.exprs with
+      | [| e |] ->
+          radix 0 (List.sort compare (List.map (fun i -> (abs (Aff.coeff e i), i)) varying))
+      | _ -> false
+
 let is_injective_on t bset =
+  injective_closed_form t bset
+  ||
   let seen = Hashtbl.create 64 in
-  let points = Basic_set.enumerate bset in
   List.for_all
     (fun p ->
       let q = apply t p in
@@ -97,7 +128,7 @@ let is_injective_on t bset =
         Hashtbl.add seen q ();
         true
       end)
-    points
+    (Basic_set.enumerate bset)
 
 let equal a b =
   Space.equal a.dom b.dom && Space.equal a.cod b.cod

@@ -41,9 +41,18 @@ val image : t -> Basic_set.t -> Basic_set.t
 val image_points : t -> Basic_set.t -> int array list
 (** Exact image by enumeration (bounded domains only), deduplicated. *)
 
+val injective_closed_form : t -> Basic_set.t -> bool
+(** A sufficient test of injectivity over a bounded set, from the
+    coefficients and the set's bounding box alone: [true] when each
+    dimension with extent > 1 is the only varying term of some output,
+    or when the map is 1-D and its strides, sorted by magnitude, each
+    exceed the span of all smaller ones (a mixed radix, like a row-major
+    layout). [false] means unknown. *)
+
 val is_injective_on : t -> Basic_set.t -> bool
 (** Exact injectivity over a bounded domain (used to validate layout and
-    partition maps, Section IV-D). *)
+    partition maps, Section IV-D): {!injective_closed_form} first,
+    enumeration only when it cannot decide. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

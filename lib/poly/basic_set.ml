@@ -319,6 +319,14 @@ let bounding_box t =
   done;
   if !ok then Some box else None
 
+let box t =
+  let single c =
+    Array.fold_left (fun k a -> if a <> 0 then k + 1 else k) 0 (constr_aff c).Aff.coeffs
+    <= 1
+  in
+  if t.inconsistent || not (List.for_all single t.constrs) then None
+  else bounding_box t
+
 let enumerate t =
   if t.inconsistent then []
   else

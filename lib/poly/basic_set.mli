@@ -4,9 +4,11 @@
     emptiness use Fourier–Motzkin elimination with gcd tightening. FM is
     exact over the rationals; over the integers it may over-approximate
     when eliminating variables with non-unit coefficients — all sets built
-    by the compiler flow have unit-coefficient bounds, and analyses that
-    require integer exactness use {!enumerate} (domains are bounded, with
-    p = 11 at most ~1.8M points). The test suite cross-validates FM
+    by the compiler flow have unit-coefficient bounds. Rational emptiness
+    implies integer emptiness, so analyses use FM as a proof and answer
+    "unknown" rather than "false" when it cannot decide; {!enumerate} is
+    left for witnesses and small-domain fallbacks (domains are bounded,
+    with p = 11 at most ~1.8M points). The test suite cross-validates FM
     emptiness against enumeration on randomized sets. *)
 
 type constr = Eq of Aff.t | Ge of Aff.t
@@ -59,6 +61,12 @@ val var_bounds : t -> int -> int option * int option
 
 val bounding_box : t -> (int * int) array option
 (** Per-variable bounds when fully bounded, else [None]. *)
+
+val box : t -> (int * int) array option
+(** The exact box of a set whose every constraint bounds a single
+    variable: the set is then the product of these inclusive integer
+    ranges (empty when some [lo > hi]). [None] for any other set, and for
+    unbounded or trivially inconsistent ones. *)
 
 val enumerate : t -> int array list
 (** All integer points (exact). @raise Invalid_argument when unbounded. *)

@@ -11,7 +11,7 @@
      the suite asserts the verdict names exactly the expected rule ids,
      with a concrete witness;
    - properties: on random beta/dims schedules, verifier acceptance must
-     coincide with exact-enumeration legality ([Schedule.legal]) and
+     coincide with exact-enumeration legality ([Oracle.legal]) and
      imply that the rescheduled kernel still computes the reference
      answer (interpreter differential).
 
@@ -130,6 +130,35 @@ let find_movable_init (program : Flow.program) =
       | _ -> false)
     program.Flow.stmts
 
+(* [schedule] with statement [name]'s outermost beta set to [b0]. *)
+let move_to name b0 schedule =
+  List.map
+    (fun (n, (s : Schedule.sched1)) ->
+      if n = name then
+        let betas = Array.copy s.Schedule.betas in
+        betas.(0) <- b0;
+        (n, { s with Schedule.betas })
+      else (n, s))
+    schedule
+
+let last_beta schedule =
+  List.fold_left
+    (fun acc (_, (s : Schedule.sched1)) -> max acc s.Schedule.betas.(0))
+    0 schedule
+
+(* [schedule] with statement [name] moved after every other one. *)
+let move_last name schedule = move_to name (last_beta schedule + 1) schedule
+
+(* [program] and [schedule] without statement [name]. *)
+let drop_stmt (program : Flow.program) schedule name =
+  ( {
+      program with
+      Flow.stmts =
+        List.filter (fun (s : Flow.statement) -> s.Flow.stmt_name <> name)
+          program.Flow.stmts;
+    },
+    List.remove_assoc name schedule )
+
 let test_mutation_illegal_schedule_move () =
   let r =
     compile ~options:{ Compile.default_options with Compile.sharing = false } 4
@@ -137,21 +166,7 @@ let test_mutation_illegal_schedule_move () =
   let program = r.Compile.program and schedule = r.Compile.schedule in
   check_clean "baseline" (V.all ~program ~schedule ());
   let init = find_movable_init program in
-  let last =
-    List.fold_left
-      (fun acc (_, (s : Schedule.sched1)) -> max acc s.Schedule.betas.(0))
-      0 schedule
-  in
-  let schedule' =
-    List.map
-      (fun (name, (s : Schedule.sched1)) ->
-        if name = init.Flow.stmt_name then
-          let betas = Array.copy s.Schedule.betas in
-          betas.(0) <- last + 1;
-          (name, { s with Schedule.betas })
-        else (name, s))
-      schedule
-  in
+  let schedule' = move_last init.Flow.stmt_name schedule in
   let diags = V.all ~program ~schedule:schedule' () in
   Alcotest.(check (list string))
     "exactly the three expected defect classes"
@@ -228,16 +243,9 @@ let test_mutation_dropped_init () =
   in
   let program = r.Compile.program in
   let init = find_movable_init program in
-  let name = init.Flow.stmt_name in
-  let program' =
-    {
-      program with
-      Flow.stmts =
-        List.filter (fun (s : Flow.statement) -> s.Flow.stmt_name <> name)
-          program.Flow.stmts;
-    }
+  let program', schedule' =
+    drop_stmt program r.Compile.schedule init.Flow.stmt_name
   in
-  let schedule' = List.remove_assoc name r.Compile.schedule in
   let diags = V.all ~program:program' ~schedule:schedule' () in
   Alcotest.(check (list string))
     "uninitialized accumulator is exactly use-before-def"
@@ -719,9 +727,297 @@ let qcheck_accepted_schedules_compute_reference =
       let rng = Random.State.make [| seed |] in
       let schedule' = random_schedule rng program in
       let accepted = D.errors (V.all ~program ~schedule:schedule' ()) = [] in
-      let legal = Schedule.legal program schedule' in
+      let legal = Oracle.legal program schedule' in
       if accepted then legal && differential_ok r schedule'
       else not legal)
+
+(* ------------------------------------------------------------------ *)
+(* Use-before-def: the proof agrees with the enumeration oracle        *)
+(* ------------------------------------------------------------------ *)
+
+let render = List.map (Format.asprintf "%a" D.pp)
+
+let check_same_as_oracle what program schedule =
+  let got = V.use_before_def program schedule
+  and want = Oracle.use_before_def program schedule in
+  Alcotest.(check (list string)) (what ^ ": same diagnostics") (render want)
+    (render got);
+  Alcotest.(check bool) (what ^ ": same witnesses") true (got = want)
+
+let test_ubd_oracle_mutations () =
+  List.iter
+    (fun bits ->
+      let r = compile ~options:(options_of_bits bits) 4 in
+      let program = r.Compile.program and schedule = r.Compile.schedule in
+      let what = Printf.sprintf "bits=%02x" bits in
+      check_same_as_oracle (what ^ " clean") program schedule;
+      let init = find_movable_init program in
+      check_same_as_oracle (what ^ " moved init") program
+        (move_last init.Flow.stmt_name schedule);
+      let program', schedule' =
+        drop_stmt program schedule init.Flow.stmt_name
+      in
+      check_same_as_oracle (what ^ " dropped init") program' schedule')
+    [ 0x00; 0x01; 0x08; 0x20; 0x3f ]
+
+(* Hand-built programs for the cases the compiled pipelines never
+   produce: partial coverage, identical timestamps, a reduction loop
+   outside the read, a reversed write, a writer whose domain is not a box,
+   a layout that maps two elements to one word. *)
+let test_ubd_oracle_edge_cases () =
+  let program = war_program 8 in
+  let sched b0 = { Schedule.betas = [| b0; 0 |]; dims = [| 0 |] } in
+  check_same_as_oracle "war chain, copy before its init" program
+    [ ("a", sched 2); ("b", sched 1); ("c", sched 0) ];
+  (* the init stops one element short of what the copy reads *)
+  let short =
+    {
+      program with
+      Flow.stmts =
+        List.filter_map
+          (fun (s : Flow.statement) ->
+            match s.Flow.stmt_name with
+            | "a" ->
+                Some
+                  {
+                    s with
+                    Flow.domain =
+                      Poly.Basic_set.of_box (Poly.Basic_set.space s.Flow.domain)
+                        [ (0, 6) ];
+                  }
+            | "b" -> Some s
+            | _ -> None)
+          program.Flow.stmts;
+    }
+  in
+  let schedule = [ ("a", sched 0); ("b", sched 1) ] in
+  check_same_as_oracle "init short of the copy's reads" short schedule;
+  let same_time = [ ("a", sched 0); ("b", sched 0); ("c", sched 1) ] in
+  check_same_as_oracle "init and copy at identical timestamps" program same_time;
+  Alcotest.(check (list string))
+    "a read at its write's timestamp is a use-before-def" [ "use-before-def" ]
+    (error_rules (V.use_before_def program same_time));
+  Alcotest.(check (list string))
+    "the unwritten element is a use-before-def" [ "use-before-def" ]
+    (error_rules (V.use_before_def short schedule));
+  (* x[i] += w[l] with no init, reduction loop outermost, and a copy of
+     x[i] fused into it after the first accumulation of x[i]: only the
+     accumulator read is undefined, and the first write of x[i] is the
+     l = 0 instance, not a later one. *)
+  let n = 6 in
+  let sp name dims = Poly.Space.make name dims in
+  let arr name kind =
+    {
+      Flow.array_name = name;
+      kind;
+      tensor_shape = [ n ];
+      layout = Flow.default_layout name [ n ];
+      size = n;
+    }
+  in
+  let proj dom cod k arity = Poly.Aff_map.make dom (sp cod [ "i" ]) [| Poly.Aff.var arity k |] in
+  let mac_dom = sp "m" [ "i"; "l" ] and copy_dom = sp "c" [ "i" ] in
+  let interleaved =
+    {
+      Flow.prog_name = "interleaved";
+      arrays = [ arr "w" Flow.Input; arr "x" Flow.Temp; arr "y" Flow.Output ];
+      stmts =
+        [
+          {
+            Flow.stmt_name = "m";
+            domain = Poly.Basic_set.of_box mac_dom [ (0, n - 1); (0, n - 1) ];
+            write = { Flow.array = "x"; map = proj mac_dom "x" 0 2 };
+            compute = Flow.Mac [ { Flow.array = "w"; map = proj mac_dom "w" 1 2 } ];
+          };
+          {
+            Flow.stmt_name = "c";
+            domain = Poly.Basic_set.of_box copy_dom [ (0, n - 1) ];
+            write = { Flow.array = "y"; map = proj copy_dom "y" 0 1 };
+            compute = Flow.Assign_copy { Flow.array = "x"; map = proj copy_dom "x" 0 1 };
+          };
+        ];
+    }
+  in
+  let schedule =
+    [
+      ("m", { Schedule.betas = [| 0; 0; 0 |]; dims = [| 1; 0 |] });
+      ("c", { Schedule.betas = [| 0; 1 |]; dims = [| 0 |] });
+    ]
+  in
+  check_same_as_oracle "accumulation without init, copy fused into it"
+    interleaved schedule;
+  (* x[n-1-i] = 0 then y[i] = x[i]: in one fused loop the copy's first
+     half reads elements written later; in two loops every read is
+     defined *)
+  let reversed =
+    let write = sp "x" [ "i" ] in
+    {
+      program with
+      Flow.stmts =
+        List.filter_map
+          (fun (s : Flow.statement) ->
+            match s.Flow.stmt_name with
+            | "a" ->
+                Some
+                  {
+                    s with
+                    Flow.write =
+                      {
+                        Flow.array = "x";
+                        map =
+                          Poly.Aff_map.make (Poly.Basic_set.space s.Flow.domain) write
+                            [| Poly.Aff.make [| -1 |] 7 |];
+                      };
+                  }
+            | "b" -> Some s
+            | _ -> None)
+          program.Flow.stmts;
+    }
+  in
+  let fused = [ ("a", sched 0); ("b", { Schedule.betas = [| 0; 1 |]; dims = [| 0 |] }) ] in
+  check_same_as_oracle "reversed init fused with the copy" reversed fused;
+  Alcotest.(check (list string))
+    "the fused reversed init is a use-before-def" [ "use-before-def" ]
+    (error_rules (V.use_before_def reversed fused));
+  check_same_as_oracle "reversed init before the copy" reversed
+    [ ("a", sched 0); ("b", sched 1) ];
+  Alcotest.(check (list string))
+    "only the accumulator read is undefined" [ "m" ]
+    (List.map (fun d -> d.D.subject) (V.use_before_def interleaved schedule));
+  (* x[i] = 0 over the triangle 0 <= j <= i < 8, then y[i] = x[i], then
+     x[i] = 1: the first writer's domain is not a box and the second
+     writes after the copy, so no read of x is proved and both schedules
+     go through the first-write table *)
+  let triangular =
+    let tri = sp "a" [ "i"; "j" ] in
+    let ge c k = Poly.Basic_set.Ge (Poly.Aff.make c k) in
+    {
+      program with
+      Flow.stmts =
+        List.filter_map
+          (fun (s : Flow.statement) ->
+            match s.Flow.stmt_name with
+            | "a" ->
+                Some
+                  {
+                    s with
+                    Flow.domain =
+                      Poly.Basic_set.of_constraints tri
+                        [ ge [| 1; 0 |] 0; ge [| -1; 0 |] 7; ge [| 0; 1 |] 0; ge [| 1; -1 |] 0 ];
+                    write =
+                      {
+                        Flow.array = "x";
+                        map = Poly.Aff_map.make tri (sp "x" [ "i" ]) [| Poly.Aff.var 2 0 |];
+                      };
+                  }
+            | _ -> Some s)
+          program.Flow.stmts;
+    }
+  in
+  let tri_sched b0 = { Schedule.betas = [| b0; 0; 0 |]; dims = [| 0; 1 |] } in
+  let tri_first = [ ("a", tri_sched 0); ("b", sched 1); ("c", sched 2) ]
+  and tri_late = [ ("a", tri_sched 1); ("b", sched 0); ("c", sched 2) ] in
+  check_same_as_oracle "triangular init before the copy" triangular tri_first;
+  check_same_as_oracle "triangular init after the copy" triangular tri_late;
+  Alcotest.(check (list string))
+    "the triangular init before the copy defines x" []
+    (error_rules (V.use_before_def triangular tri_first));
+  Alcotest.(check (list string))
+    "the triangular init after the copy is a use-before-def" [ "use-before-def" ]
+    (error_rules (V.use_before_def triangular tri_late));
+  (* x is a 2x4 tensor stored at offset i + j, so x[0,j+1] and x[1,j]
+     share a word. The init writes row 0 only, the copy reads both rows,
+     and a second init rewrites row 0 afterwards: in tensor space row 1
+     is never written, but through the layout every offset except 4 is,
+     and only the read of x[1,3] is undefined. *)
+  let aliased =
+    let tensor = sp "x" [ "d0"; "d1" ] and two = sp "two" [ "i"; "j" ] in
+    let rows lo hi = Poly.Basic_set.of_box two [ (lo, hi); (0, 3) ] in
+    let ident cod = Poly.Aff_map.make two cod [| Poly.Aff.var 2 0; Poly.Aff.var 2 1 |] in
+    let arr name kind layout size =
+      { Flow.array_name = name; kind; tensor_shape = [ 2; 4 ]; layout; size }
+    in
+    {
+      Flow.prog_name = "aliased";
+      arrays =
+        [
+          arr "x" Flow.Temp
+            (Poly.Aff_map.make tensor (sp "x" [ "a" ]) [| Poly.Aff.make [| 1; 1 |] 0 |])
+            5;
+          arr "y" Flow.Output (Flow.default_layout "y" [ 2; 4 ]) 8;
+        ];
+      stmts =
+        [
+          {
+            Flow.stmt_name = "a";
+            domain = rows 0 0;
+            write = { Flow.array = "x"; map = ident tensor };
+            compute = Flow.Init 0.0;
+          };
+          {
+            Flow.stmt_name = "b";
+            domain = rows 0 1;
+            write = { Flow.array = "y"; map = ident (sp "y" [ "d0"; "d1" ]) };
+            compute = Flow.Assign_copy { Flow.array = "x"; map = ident tensor };
+          };
+          {
+            Flow.stmt_name = "c";
+            domain = rows 0 0;
+            write = { Flow.array = "x"; map = ident tensor };
+            compute = Flow.Init 1.0;
+          };
+        ];
+    }
+  in
+  let row_sched b0 = { Schedule.betas = [| b0; 0; 0 |]; dims = [| 0; 1 |] } in
+  let in_order = [ ("a", row_sched 0); ("b", row_sched 1); ("c", row_sched 2) ] in
+  check_same_as_oracle "aliased layout, init before the copy" aliased in_order;
+  check_same_as_oracle "aliased layout, init after the copy" aliased
+    [ ("a", row_sched 1); ("b", row_sched 0); ("c", row_sched 2) ];
+  Alcotest.(check bool) "the read of x[1,3] is the one undefined word" true
+    (match V.use_before_def aliased in_order with
+    | [ { D.witness = Some (D.Instance ("b", [| 1; 3 |])); _ } ] -> true
+    | _ -> false)
+
+let same_as_oracle program schedule =
+  V.use_before_def program schedule = Oracle.use_before_def program schedule
+
+let qcheck_ubd_random_schedules =
+  QCheck.Test.make ~name:"use-before-def = oracle on random schedules"
+    ~count:30
+    QCheck.(triple (int_range 3 4) (int_bound 63) (int_bound 1_000_000))
+    (fun (p, bits, seed) ->
+      let program = (compile ~options:(options_of_bits bits) p).Compile.program in
+      same_as_oracle program
+        (random_schedule (Random.State.make [| seed |]) program))
+
+(* Each init of the program moved, with probability 1/2, to a random
+   outermost position, possibly fused with, or past, its consumers; any
+   other statement with probability 1/4, so that readers also interleave
+   with the accumulations they read. The moves start from the compiled
+   schedule or, half the time, from a random one with permuted loops. *)
+let qcheck_ubd_random_init_moves =
+  QCheck.Test.make ~name:"use-before-def = oracle on random init moves"
+    ~count:40
+    QCheck.(triple (int_range 3 4) (int_bound 63) (int_bound 1_000_000))
+    (fun (p, bits, seed) ->
+      let r = compile ~options:(options_of_bits bits) p in
+      let program = r.Compile.program in
+      let rng = Random.State.make [| seed |] in
+      let schedule =
+        List.fold_left
+          (fun schedule (s : Flow.statement) ->
+            let odds = match s.Flow.compute with Flow.Init _ -> 2 | _ -> 4 in
+            if Random.State.int rng odds = 0 then
+              move_to s.Flow.stmt_name
+                (Random.State.int rng (last_beta schedule + 2))
+                schedule
+            else schedule)
+          (if Random.State.bool rng then r.Compile.schedule
+           else random_schedule rng program)
+          program.Flow.stmts
+      in
+      same_as_oracle program schedule)
 
 let suite =
   [
@@ -769,4 +1065,13 @@ let suite =
       ] );
     ( "analysis.property",
       [ Test_seed.to_alcotest qcheck_accepted_schedules_compute_reference ] );
+    ( "analysis.ubd-oracle",
+      [
+        case "mutation suite: proof = enumeration oracle"
+          test_ubd_oracle_mutations;
+        case "hand-built edge cases: proof = enumeration oracle"
+          test_ubd_oracle_edge_cases;
+        Test_seed.to_alcotest qcheck_ubd_random_schedules;
+        Test_seed.to_alcotest qcheck_ubd_random_init_moves;
+      ] );
   ]

@@ -494,6 +494,34 @@ let bad_token_kernel =
 let zero_extent_kernel =
   "var input u : [0 3 3]\nvar output w : [0 3 3]\nw = u * u\n"
 
+(* A copy over 8e9 elements per tensor: nothing on the check path may
+   enumerate it or allocate per element. The 2 GB address-space cap makes
+   a regression fail fast with Out_of_memory instead of swapping. *)
+let test_check_huge_extent () =
+  let file = tmp ".cfd" and out = tmp ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ file; out ])
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc
+            "var input a : [2000 2000 2000]\nvar output b : [2000 2000 2000]\nb = a\n");
+      let code =
+        Sys.command
+          (Printf.sprintf "sh -c %s >%s 2>&1"
+             (Filename.quote
+                (Printf.sprintf "ulimit -v 2000000; exec %s check %s"
+                   (Filename.quote (cfdc ())) (Filename.quote file)))
+             (Filename.quote out))
+      in
+      let text = In_channel.with_open_bin out In_channel.input_all in
+      Alcotest.(check bool)
+        (Printf.sprintf "exits 0 or 1 (got %d: %S)" code text)
+        true (code = 0 || code = 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "no Fatal error (%S)" text)
+        false
+        (contains ~sub:"Fatal error" text))
+
 let () =
   Alcotest.run "cfdc-cli"
     [
@@ -533,6 +561,9 @@ let () =
             `Quick
             (explore_rejects ~source:zero_extent_kernel
                ~message:"tensor u has a non-positive extent");
+          Alcotest.test_case
+            "check on a [2000 2000 2000] copy under a 2 GB cap" `Quick
+            test_check_huge_extent;
         ] );
       ( "cache",
         [

@@ -306,7 +306,39 @@ let test_aff_map_injective () =
     (Aff_map.is_injective_on (row_major_2d 11) b);
   (* stride 10 is too small for extent 11: collisions *)
   Alcotest.(check bool) "bad stride not injective" false
-    (Aff_map.is_injective_on (row_major_2d 10) b)
+    (Aff_map.is_injective_on (row_major_2d 10) b);
+  Alcotest.(check bool) "row major decided in closed form" true
+    (Aff_map.injective_closed_form (row_major_2d 11) b);
+  Alcotest.(check bool) "bad stride not claimed in closed form" false
+    (Aff_map.injective_closed_form (row_major_2d 10) b)
+
+(* Random strided maps, 1-D or 2-D, over small boxes: whenever the
+   closed form claims injectivity, enumeration finds no collision, and
+   [is_injective_on] equals the enumerated answer. *)
+let qcheck_injective_closed_form =
+  QCheck.Test.make ~name:"closed-form injectivity agrees with enumeration"
+    ~count:300 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+      let k = int 1 3 and m = int 1 2 in
+      let dom = Space.anonymous k and cod = Space.anonymous m in
+      let box = List.init k (fun _ -> let lo = int (-1) 1 in (lo, lo + int 0 3)) in
+      let b = Basic_set.of_box dom box in
+      let map =
+        Aff_map.make dom cod
+          (Array.init m (fun _ -> Aff.make (Array.init k (fun _ -> int (-6) 6)) (int (-2) 2)))
+      in
+      let seen = Hashtbl.create 64 in
+      let enumerated =
+        List.for_all
+          (fun p ->
+            let q = Aff_map.apply map p in
+            (not (Hashtbl.mem seen q)) && (Hashtbl.add seen q (); true))
+          (Basic_set.enumerate b)
+      in
+      ((not (Aff_map.injective_closed_form map b)) || enumerated)
+      && Aff_map.is_injective_on map b = enumerated)
 
 let test_aff_map_concat_select () =
   let f = Aff_map.identity sp2 in
@@ -516,6 +548,7 @@ let suite =
         case "injectivity check" test_aff_map_injective;
         case "concat/select outputs" test_aff_map_concat_select;
         Test_seed.to_alcotest qcheck_image_matches_enumeration;
+        Test_seed.to_alcotest qcheck_injective_closed_form;
       ] );
     ( "poly.rel",
       [
