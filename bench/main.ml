@@ -383,6 +383,9 @@ let stage_inputs r buffer =
       Array.blit data 0 (buffer buf) off (Array.length data))
     (Cfdlang.Eval.random_inputs ~seed:1 r.Cfd_core.Compile.checked)
 
+(* Times both engines, then runs each once more from the same staged
+   inputs and insists on bit-identical parameter buffers: a mismatch
+   exits 1. *)
 let exec () =
   header
     "Execution engine: tree-walking interpreter vs compiled LoopIR\n\
@@ -398,21 +401,59 @@ let exec () =
   in
   let engine = Loopir.Compiled.compile ~mode proc in
   let frame = Loopir.Compiled.make_frame engine in
-  stage_inputs r (Loopir.Compiled.buffer engine frame);
   let memory = Hashtbl.create 16 in
   List.iter
     (fun (prm : Loopir.Prog.param) ->
       Hashtbl.replace memory prm.Loopir.Prog.name
         (Array.make prm.Loopir.Prog.size 0.0))
     proc.Loopir.Prog.params;
-  stage_inputs r (Hashtbl.find memory);
+  (* The kernel overwrites an input with its output, so each engine is
+     restaged from zeroed parameter buffers before a compared run. *)
+  let restage () =
+    List.iter
+      (fun (prm : Loopir.Prog.param) ->
+        let name = prm.Loopir.Prog.name in
+        let size = prm.Loopir.Prog.size in
+        Array.fill (Loopir.Compiled.buffer engine frame name) 0 size 0.0;
+        Array.fill (Hashtbl.find memory name) 0 size 0.0)
+      proc.Loopir.Prog.params;
+    stage_inputs r (Loopir.Compiled.buffer engine frame);
+    stage_inputs r (Hashtbl.find memory)
+  in
+  restage ();
   let t_interp = time_per_run (fun () -> Loopir.Interp.run proc memory) in
   let t_compiled = time_per_run (fun () -> Loopir.Compiled.run engine frame) in
   let ns t = t *. 1e9 in
   Printf.printf "  engine mode: %s (verifier license)\n" mode_name;
   Printf.printf "  %-22s %14.0f ns/element\n" "tree-walking" (ns t_interp);
   Printf.printf "  %-22s %14.0f ns/element  (%.2fx)\n" "compiled" (ns t_compiled)
-    (t_interp /. t_compiled)
+    (t_interp /. t_compiled);
+  restage ();
+  Loopir.Interp.run proc memory;
+  Loopir.Compiled.run engine frame;
+  let mismatches =
+    List.concat_map
+      (fun (prm : Loopir.Prog.param) ->
+        let name = prm.Loopir.Prog.name in
+        let got = Loopir.Compiled.buffer engine frame name
+        and want = Hashtbl.find memory name in
+        List.filter_map
+          (fun i ->
+            if Int64.bits_of_float got.(i) = Int64.bits_of_float want.(i) then
+              None
+            else Some (name, i, got.(i), want.(i)))
+          (List.init prm.Loopir.Prog.size Fun.id))
+      proc.Loopir.Prog.params
+  in
+  match mismatches with
+  | [] ->
+      Printf.printf
+        "  compiled = tree-walking, bit for bit, on every parameter buffer\n"
+  | (name, i, got, want) :: _ ->
+      Printf.printf
+        "  MISMATCH: %d words differ; first %s[%d]: compiled %h, tree-walking %h\n"
+        (List.length mismatches) name i got want;
+      exit 1
 
 (* ---------------- Memory profiler overhead ---------------- *)
 

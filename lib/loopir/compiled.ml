@@ -22,9 +22,13 @@
      form, entering with [+ ci * lo] and restoring on exit so sibling
      and outer statements always observe consistent cursors;
    - the dominant statement shapes of scalarized tensor kernels
-     (contraction MAC, constant init, copy, scalar accumulate/spill)
-     compile to dedicated closures rather than a generic expression
-     walk;
+     (contraction MAC, product store, constant init, copy, scalar
+     accumulate/spill) compile to dedicated closures rather than a
+     generic expression walk, and an innermost loop whose one statement
+     is a multiply-accumulate into a cell the loop keeps fixed compiles
+     to one fused closure: a strided loop with the sum in a local float,
+     stored once. Unchecked, untapped hot leaves do not allocate: no
+     closure on their path returns a boxed float;
    - bounds checks are a compile-time mode, not a per-access cost: in
      [Unchecked] mode — which callers may select only on the license of
      the static verifier ([Analysis.Verify.bounds] proving every access
@@ -108,6 +112,7 @@ type t = {
   stmts_per_run : int;  (* leaf statements executed by one run *)
   iters_per_run : int;  (* loop iterations executed by one run *)
   probed : bool;
+  fused_loops : int;
 }
 
 (* (leaf statements, loop iterations) executed by one pass of [s]. *)
@@ -136,6 +141,7 @@ type state = {
   mutable st_bases : int list;  (* reversed *)
   mutable st_ncur : int;
   mutable st_nsites : int;  (* probe sites numbered so far (pre-order) *)
+  mutable st_nfused : int;  (* loops compiled by [compile_fused] *)
 }
 
 (* Loop environment: innermost-first list of (variable, cursors touched
@@ -321,6 +327,28 @@ let compile_leaf st env ~check ~tap (stmt : Prog.stmt) : op =
              *. Array.unsafe_get
                   (Array.unsafe_get fr.bufs sd)
                   (Array.unsafe_get cur cd))
+  | Prog.Store
+      { array; index; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) }
+    when fast ->
+      (* product store: a[ia] = b[ib] * d[id] (the Hadamard stage). The
+         generic path would box the product returned by [compile_expr]. *)
+      let sa = array_slot st array in
+      let ca = cursor st env index in
+      let sb = array_slot st b in
+      let cb = cursor st env ixb in
+      let sd = array_slot st d in
+      let cd = cursor st env ixd in
+      fun fr ->
+        let cur = fr.cur in
+        Array.unsafe_set
+          (Array.unsafe_get fr.bufs sa)
+          (Array.unsafe_get cur ca)
+          (Array.unsafe_get
+             (Array.unsafe_get fr.bufs sb)
+             (Array.unsafe_get cur cb)
+          *. Array.unsafe_get
+               (Array.unsafe_get fr.bufs sd)
+               (Array.unsafe_get cur cd))
   | Prog.Acc_scalar
       { name; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) }
     when fast ->
@@ -352,6 +380,73 @@ let compile_leaf st env ~check ~tap (stmt : Prog.stmt) : op =
       let i = scalar_slot st name in
       fun fr ->
         Array.unsafe_set fr.scal i (Array.unsafe_get fr.scal i +. value fr)
+
+(* The fused MAC loop: [n] iterations of [dst[i] += b[ib] * d[id]] with
+   [ib] and [id] stepping by [sb] and [sd], the sum kept in a local
+   float and stored once. The adds run in the interpreter's order, so
+   the result is bit-identical to the per-iteration stores. Every
+   argument is an array or an int, so nothing is boxed. *)
+let fused_mac dst i bb ib sb bd id sd n =
+  let acc = ref (Array.unsafe_get dst i) in
+  let ib = ref ib and id = ref id in
+  for _ = 1 to n do
+    acc := !acc +. (Array.unsafe_get bb !ib *. Array.unsafe_get bd !id);
+    ib := !ib + sb;
+    id := !id + sd
+  done;
+  Array.unsafe_set dst i !acc
+
+(* The coefficient of [v] in [ix]: a cursor's stride in the loop over
+   [v]. *)
+let stride v (ix : Ix.t) =
+  List.fold_left (fun k (c, v') -> if v' = v then k + c else k) 0 ix.Ix.terms
+
+(* An innermost, non-empty loop whose body is one multiply-accumulate
+   into a cell the loop keeps fixed: a scalar, or an array cell of
+   stride 0 in this loop whose array is neither source. It compiles to
+   one [fused_mac] call per entry instead of a leaf call and a cursor
+   step per iteration. [env] already binds the loop; the loop's own
+   cursors are never moved, which is what the generic enter, step and
+   leave net to, and outer loops step them as usual. Only for unchecked,
+   untapped leaves. *)
+let compile_fused st env (l : Prog.loop) : op option =
+  let n = l.Prog.hi - l.Prog.lo in
+  let sources b ixb d ixd =
+    let sb = array_slot st b and cb = cursor st env ixb in
+    let sd = array_slot st d and cd = cursor st env ixd in
+    let kb = stride l.var ixb and kd = stride l.var ixd in
+    (sb, cb, kb, kb * l.lo, sd, cd, kd, kd * l.lo)
+  in
+  match l.Prog.body with
+  | _ when n <= 0 -> None
+  | [ Prog.Acc_scalar
+        { name; value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd)) } ] ->
+      let i = scalar_slot st name in
+      let sb, cb, kb, ob, sd, cd, kd, od = sources b ixb d ixd in
+      st.st_nfused <- st.st_nfused + 1;
+      Some
+        (fun fr ->
+          let cur = fr.cur in
+          fused_mac fr.scal i (Array.unsafe_get fr.bufs sb)
+            (Array.unsafe_get cur cb + ob) kb (Array.unsafe_get fr.bufs sd)
+            (Array.unsafe_get cur cd + od) kd n)
+  | [ Prog.Accum
+        {
+          array;
+          index;
+          value = Prog.Mul (Prog.Load (b, ixb), Prog.Load (d, ixd));
+        } ]
+    when stride l.var index = 0 && array <> b && array <> d ->
+      let sa = array_slot st array and ca = cursor st env index in
+      let sb, cb, kb, ob, sd, cd, kd, od = sources b ixb d ixd in
+      st.st_nfused <- st.st_nfused + 1;
+      Some
+        (fun fr ->
+          let cur = fr.cur in
+          fused_mac (Array.unsafe_get fr.bufs sa) (Array.unsafe_get cur ca)
+            (Array.unsafe_get fr.bufs sb) (Array.unsafe_get cur cb + ob) kb
+            (Array.unsafe_get fr.bufs sd) (Array.unsafe_get cur cd + od) kd n)
+  | _ -> None
 
 (* [vars] is the enclosing loop nest, outermost first. Under a probe a
    leaf becomes a numbered site whose accesses are tapped, and whose
@@ -388,10 +483,15 @@ and compile_body st env ~check ~probe ~vars body =
 
 and compile_loop st env ~check ~probe ~vars (l : Prog.loop) : op =
   let incs = ref [] in
-  let body =
-    compile_body st ((l.var, incs) :: env) ~check ~probe ~vars:(vars @ [ l.var ])
-      l.body
-  in
+  let env = (l.var, incs) :: env in
+  match
+    if check || Option.is_some probe then None else compile_fused st env l
+  with
+  | Some op -> op
+  | None -> compile_generic_loop st env incs ~check ~probe ~vars l
+
+and compile_generic_loop st env incs ~check ~probe ~vars (l : Prog.loop) : op =
+  let body = compile_body st env ~check ~probe ~vars:(vars @ [ l.var ]) l.body in
   let curs = Array.of_list (List.map fst !incs) in
   let strides = Array.of_list (List.map snd !incs) in
   let nb = Array.length body and nc = Array.length curs in
@@ -483,6 +583,7 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
       st_bases = [];
       st_ncur = 0;
       st_nsites = 0;
+      st_nfused = 0;
     }
   in
   let check = mode <> Unchecked in
@@ -510,11 +611,13 @@ let compile ?(mode = Checked) ?probe (proc : Prog.proc) =
     stmts_per_run;
     iters_per_run;
     probed = Option.is_some probe;
+    fused_loops = st.st_nfused;
   }
 
 let mode t = t.mode
 let proc t = t.proc
 let probed t = t.probed
+let fused_loops t = t.fused_loops
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)

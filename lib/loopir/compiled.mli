@@ -10,8 +10,14 @@
     enclosing loop, so inner loops update indices incrementally
     (strength reduction) instead of re-evaluating affine expressions.
     The dominant statement shapes of scalarized tensor kernels
-    (contraction MAC, constant init, copy, scalar accumulate/spill) get
-    specialized closures.
+    (contraction MAC, product store, constant init, copy, scalar
+    accumulate/spill) get specialized closures, and an innermost loop
+    whose one statement is a multiply-accumulate into a cell the loop
+    keeps fixed runs as one fused closure: a strided loop that keeps the
+    sum in a local float and stores it once, adding in the
+    interpreter's order. These apply in [Unchecked] mode without a
+    probe, where no hot leaf allocates; [Checked], [Debug] and probed
+    programs run the generic closures.
 
     On every observable outcome the engine is bit-identical to
     {!Interp.run} (property-tested in [test/test_compiled.ml]); a proc
@@ -96,6 +102,11 @@ val proc : t -> Prog.proc
 
 val probed : t -> bool
 (** Whether this program was compiled with a probe attached. *)
+
+val fused_loops : t -> int
+(** How many innermost loops were compiled to one fused
+    multiply-accumulate closure: always [0] unless [Unchecked] and
+    unprobed. *)
 
 val make_frame : t -> frame
 (** Fresh zeroed buffers for every parameter and local, at their

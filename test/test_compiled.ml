@@ -350,11 +350,13 @@ let gen_spec =
         pair (oneofl scalars) (gen_expr 2 scalars bound) >|= fun (name, value) ->
         (Prog.Acc_scalar { name; value }, scalars)
       in
+      (* One-statement bodies are the shape the fused loop matches. *)
       let forloop =
         oneofl free >>= fun v ->
         int_range 0 1 >>= fun lo ->
         int_range 1 3 >>= fun extent ->
-        gen_stmts ~depth:(depth + 1) ~fuel:2 ((v, lo, lo + extent) :: bound)
+        int_range 1 2 >>= fun fuel ->
+        gen_stmts ~depth:(depth + 1) ~fuel ((v, lo, lo + extent) :: bound)
           scalars
         >|= fun (body, _) ->
         (Prog.For { var = v; lo; hi = lo + extent; pragmas = []; body }, scalars)
@@ -409,6 +411,165 @@ let qcheck_random_procs =
       Prog.validate spec.proc;
       check_differential ~what:"random proc" spec.proc spec.inputs;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* MAC-shaped random procs                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Procs built from the leaves scalarized contractions run: a scalar or
+   array multiply-accumulate alone in an innermost loop, and a product
+   store, under 0-2 outer loops. Coefficients range over -2..2, so
+   sources may have stride 0 and indices may run backwards; loops may
+   start at 1; an [Accum] may read its own destination array, or move
+   its cell with the inner loop. Every index is lifted to be
+   non-negative and every array sized to its largest index, so the
+   verifier licenses each proc for unchecked execution, the mode the
+   fused loop runs in. Values are sevenths, so a reordered sum shows. *)
+let gen_mac_spec =
+  QCheck.Gen.(
+    let gen_value = int_range (-64) 64 >|= fun n -> float_of_int n /. 7. in
+    let gen_coeff =
+      frequency
+        [ (2, return 0); (3, return 1); (1, return 2); (1, return (-1));
+          (1, return (-2)) ]
+    in
+    (* [fixed] gets coefficient 0; the constant lifts the index's minimum
+       over the loop box to 0..2. *)
+    let gen_ix ?fixed bound =
+      list_size (return (List.length bound)) gen_coeff >>= fun coeffs ->
+      int_range 0 2 >|= fun slack ->
+      let live =
+        List.filter
+          (fun (c, (v, _, _)) -> c <> 0 && Some v <> fixed)
+          (List.combine coeffs bound)
+      in
+      let low =
+        List.fold_left
+          (fun m (c, (_, lo, hi)) -> m + min (c * lo) (c * (hi - 1)))
+          0 live
+      in
+      Ix.of_terms (List.map (fun (c, (v, _, _)) -> (c, v)) live) (slack - low)
+    in
+    let gen_loop v =
+      int_range 0 1 >>= fun lo ->
+      int_range 1 4 >|= fun extent -> (v, lo, lo + extent)
+    in
+    let for_ (v, lo, hi) body =
+      Prog.For { var = v; lo; hi; pragmas = []; body }
+    in
+    let gen_load bound =
+      pair (oneofl [ "a"; "b"; "c"; "t" ]) (gen_ix bound) >|= fun (a, ix) ->
+      Prog.Load (a, ix)
+    in
+    let gen_product bound =
+      pair (gen_load bound) (gen_load bound) >|= fun (x, y) -> Prog.Mul (x, y)
+    in
+    (* One innermost loop over "k" and what surrounds it inside the
+       outer nest [outer]. *)
+    let gen_stage outer =
+      gen_loop "k" >>= fun inner ->
+      let bound = inner :: outer in
+      let dst = oneofl [ "c"; "t" ] in
+      frequency
+        [
+          ( 3,
+            triple (gen_product bound) (pair dst (gen_ix outer)) gen_value
+            >>= fun (value, (a, ix), init) ->
+            oneofl
+              [
+                Prog.Store { array = a; index = ix; value = Prog.Scalar "s" };
+                Prog.Accum { array = a; index = ix; value = Prog.Scalar "s" };
+              ]
+            >|= fun spill ->
+            [
+              Prog.Set_scalar { name = "s"; value = Prog.Const init };
+              for_ inner [ Prog.Acc_scalar { name = "s"; value } ];
+              spill;
+            ] );
+          ( 3,
+            triple dst (gen_ix ~fixed:"k" bound) (gen_product bound)
+            >|= fun (a, index, value) ->
+            [ for_ inner [ Prog.Accum { array = a; index; value } ] ] );
+          ( 1,
+            triple dst (gen_ix bound) (gen_product bound)
+            >|= fun (a, index, value) ->
+            [ for_ inner [ Prog.Accum { array = a; index; value } ] ] );
+          ( 2,
+            triple dst (gen_ix bound) (gen_product bound)
+            >|= fun (a, index, value) ->
+            [ for_ inner [ Prog.Store { array = a; index; value } ] ] );
+        ]
+    in
+    let gen_nest =
+      int_range 0 2 >>= fun depth ->
+      flatten_l (List.map gen_loop (List.filteri (fun n _ -> n < depth) [ "i"; "j" ]))
+      >>= fun loops ->
+      (* [loops] is outermost first; a bound list is innermost first *)
+      gen_stage (List.rev loops) >|= fun stage ->
+      List.fold_right (fun l body -> [ for_ l body ]) loops stage
+    in
+    list_size (int_range 1 2) gen_nest >>= fun nests ->
+    let body =
+      List.concat nests
+      @ [ Prog.Store { array = "c"; index = Ix.const 0; value = Prog.Load ("t", Ix.const 0) } ]
+    in
+    let extent a =
+      List.fold_left
+        (fun m i ->
+          List.fold_left
+            (fun m (a', ix) -> if a' = a then max m (ix + 1) else m)
+            m (i.writes @ i.reads))
+        1
+        (walk { Prog.name = "mac"; params = []; locals = []; body })
+    in
+    let sized a = int_range 0 2 >|= fun pad -> extent a + pad in
+    quad (sized "a") (sized "b") (sized "c") (sized "t") >>= fun (sa, sb, sc, st) ->
+    triple (array_size (return sa) gen_value) (array_size (return sb) gen_value)
+      (array_size (return sc) gen_value)
+    >|= fun (da, db, dc) ->
+    let proc =
+      {
+        Prog.name = "mac";
+        params =
+          [
+            { Prog.name = "a"; size = sa; dir = Prog.In };
+            { Prog.name = "b"; size = sb; dir = Prog.In };
+            { Prog.name = "c"; size = sc; dir = Prog.Out };
+          ];
+        locals = [ ("t", st) ];
+        body;
+      }
+    in
+    (* [c] starts staged, so a sum into it starts from a non-zero cell *)
+    { proc; inputs = [ ("a", da); ("b", db); ("c", dc) ] })
+
+let mac_cases = 200
+
+(* The property cannot pass vacuously: at least a quarter of the procs
+   must have compiled a fused loop (about three in five do). *)
+let test_mac_procs () =
+  let fused = ref 0 in
+  let prop spec =
+    Prog.validate spec.proc;
+    if Analysis.Verify.execution_mode spec.proc <> Compiled.Unchecked then
+      Alcotest.fail "an in-bounds MAC proc was refused the unchecked license";
+    if Compiled.fused_loops (Compiled.compile ~mode:Compiled.Checked spec.proc) <> 0
+    then Alcotest.fail "a checked engine fused a loop";
+    if Compiled.fused_loops (Compiled.compile ~mode:Compiled.Unchecked spec.proc) > 0
+    then incr fused;
+    check_differential ~what:"MAC proc" spec.proc spec.inputs;
+    true
+  in
+  QCheck.Test.check_exn ~rand:(Test_seed.rand ())
+    (QCheck.Test.make ~name:"compiled = interpreter on MAC-shaped procs"
+       ~count:mac_cases
+       (QCheck.make
+          ~print:(fun spec -> Format.asprintf "%a" Prog.pp_proc spec.proc)
+          gen_mac_spec)
+       prop);
+  if !fused < mac_cases / 4 then
+    Alcotest.failf "only %d of %d MAC procs compiled a fused loop" !fused
+      mac_cases
 
 (* ------------------------------------------------------------------ *)
 (* The full compile-option matrix on a programmatic kernel             *)
@@ -504,6 +665,31 @@ let test_kernel file () =
             ~what:(Printf.sprintf "%s options=%02x" file bits)
             rand r)
     kernel_option_bits
+
+(* ------------------------------------------------------------------ *)
+(* The unchecked hot path does not allocate                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One run of the unchecked p=11 Inverse Helmholtz engine allocates a
+   handful of words; a leaf that boxes its value allocates thousands. *)
+let test_unchecked_run_allocation () =
+  let r = Cfd_core.Compile.compile (Cfdlang.Ast.inverse_helmholtz ~p:11 ()) in
+  let proc = r.Cfd_core.Compile.proc in
+  Alcotest.(check bool) "p=11 runs unchecked" true
+    (Analysis.Verify.execution_mode proc = Compiled.Unchecked);
+  let t = Compiled.compile ~mode:Compiled.Unchecked proc in
+  Alcotest.(check bool) "contractions fused" true (Compiled.fused_loops t > 0);
+  let fr = Compiled.make_frame t in
+  Compiled.run t fr;
+  let runs = 10 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    Compiled.run t fr
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int runs in
+  if words > 64. then
+    Alcotest.failf "one unchecked run allocates %.0f minor words (at most 64)"
+      words
 
 (* ------------------------------------------------------------------ *)
 (* The verifier license                                                *)
@@ -667,6 +853,8 @@ let suite =
   [
     ( "compiled.differential",
       Test_seed.to_alcotest qcheck_random_procs
+      :: case "MAC-shaped procs = interpreter, fused loops ran"
+           test_mac_procs
       :: case "full option matrix on p=3 inverse Helmholtz"
            test_option_matrix
       :: List.map
@@ -678,6 +866,11 @@ let suite =
           test_license_refused_on_bounds;
         case "CFD_EXEC_DEBUG forces debug cross-checking"
           test_debug_env_forces_debug;
+      ] );
+    ( "compiled.alloc",
+      [
+        case "unchecked p=11 run allocates at most 64 words"
+          test_unchecked_run_allocation;
       ] );
     ( "compiled.pool",
       [ case "persistent pool = sequential map" test_pool_persistent_matches_map ] );
